@@ -22,10 +22,19 @@
  *    power - 1.0 is perfectly even, 1/n is maximally skewed. The
  *    equal-share policy on a homogeneous fleet should stay near 1.
  *
- * The committed baseline lives at docs/perf/BENCH_powercap.json; the
- * bench-powercap-compare target gates it. Regenerate with:
+ * Both benchmarks time wall clock (UseRealTime): the fleet's workers
+ * do the deciding while the main thread waits, so a rate over the main
+ * thread's CPU time would overstate throughput about a hundredfold.
  *
- *     ./build/bench/bench_fleet_powercap \
+ * The committed baseline lives at docs/perf/BENCH_powercap.json; the
+ * bench-powercap-compare target gates it. It was recorded on a 4-vCPU
+ * x86-64 VM (2.0 GHz, AVX2) with the default RelWithDebInfo build,
+ * google-benchmark's library as packaged (reports a debug build), and
+ * --simd=auto resolving to avx2/int16. perf_compare.py refuses a
+ * candidate whose CPU count, benchmark library build type or inference
+ * engine differs. Regenerate with:
+ *
+ *     ./build/bench/bench_fleet_powercap --simd=auto \
  *         --benchmark_out=docs/perf/BENCH_powercap.json \
  *         --benchmark_out_format=json
  */
@@ -175,6 +184,9 @@ BENCHMARK(BM_FleetPowercap)
     ->Arg(600) // binding + feasible: the 5%-convergence acceptance rung
     ->Arg(560) // at the floor: converges just over budget (~3%)
     ->Arg(500) // infeasible: throttle pins at floor, violations persist
+    // Workers decide; the main thread only waits. Rates must divide by
+    // wall time, not by the main thread's CPU time.
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /** Usage-proportional split on the same fleet (fairness contrast). */
@@ -194,6 +206,7 @@ BM_FleetPowercapUsageSplit(benchmark::State &state)
 }
 BENCHMARK(BM_FleetPowercapUsageSplit)
     ->Arg(600)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -4,12 +4,12 @@
  * (serve::runFleet) against the naive one-session-at-a-time baseline.
  *
  * The baseline disables everything the serve subsystem adds: no
- * per-session kernel cache (kernelCacheCap = 0, so every decision
+ * kernel prediction cache (kernelCacheCap = 0, so every decision
  * re-walks the forests through the predictor's one-entry thread_local
  * memo, which thrashes under session interleaving) and no inference
- * broker. The served configuration is the server's default: per-session
- * multi-kernel prediction memos plus cross-session batched FlatForest
- * walks. Both run the identical fleet workload and produce
+ * broker. The served configuration is the server's default: the
+ * fleet-shared kernel prediction table plus cross-session batched
+ * FlatForest walks. Both run the identical fleet workload and produce
  * byte-identical traces (pinned by test_fleet_determinism); only the
  * decisions-per-second differ.
  *
@@ -130,8 +130,8 @@ BENCHMARK(BM_FleetNaiveSequential)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * The fleet server's default path: per-session kernel memos, misses
- * coalesced across sessions by the inference broker.
+ * The fleet server's default path: the fleet-shared prediction table,
+ * misses coalesced across sessions by the inference broker.
  */
 void
 BM_FleetServed(benchmark::State &state)

@@ -18,7 +18,7 @@
  * results bit-identical to that generation's forests regardless of
  * concurrent publishes (the generation is immutable). Per-kernel memos
  * must be keyed by ordinal() so a swap invalidates them (see
- * serve::SessionPredictor); the hot-swap fuzz test pins both
+ * serve::PredictionTable); the hot-swap fuzz test pins both
  * properties.
  */
 

@@ -68,7 +68,8 @@ FleetServer::FleetServer(
         }
         shard.sessions = std::make_unique<SessionManager>(
             predictor, shard.broker.get(), _opts.sessions, _opts.model,
-            _telemetry.get(), _opts.forestHandle, _arbiter.get());
+            _telemetry.get(), _opts.forestHandle, _arbiter.get(),
+            &_table);
         shard.queue = std::make_unique<RequestQueue<DecisionRequest>>(
             _opts.queueCapacity);
         shard.shed = std::make_unique<ShedController>(

@@ -190,6 +190,9 @@ class FleetServer
      */
     InferenceBroker *broker() { return _shards[0].broker.get(); }
 
+    /** The prediction table every shard's sessions share. */
+    const PredictionTable &predictionTable() const { return _table; }
+
     /** Fleet cap arbiter; null when no budget is configured. */
     powercap::FleetCapArbiter *capArbiter() { return _arbiter.get(); }
     const powercap::FleetCapArbiter *capArbiter() const
@@ -218,6 +221,8 @@ class FleetServer
     std::unique_ptr<telemetry::Registry> _telemetry;
     /** Declared before the shards: sessions unregister on eviction. */
     std::unique_ptr<powercap::FleetCapArbiter> _arbiter;
+    /** Declared before the shards: sessions hold entries of it. */
+    PredictionTable _table;
     std::vector<Shard> _shards;
     std::unique_ptr<exec::ThreadPool> _pool;
     std::atomic<SessionId> _nextId{1};

@@ -17,9 +17,10 @@ Session::Session(SessionId id, workload::Application app,
                  hw::HardwareModelPtr model,
                  telemetry::Registry *telemetry,
                  const online::ForestHandle *handle,
-                 powercap::FleetCapArbiter *arbiter)
+                 powercap::FleetCapArbiter *arbiter,
+                 PredictionTable *table)
     : _id(id), _app(std::move(app)), _base(std::move(base)),
-      _broker(broker), _forestHandle(handle), _opts(opts),
+      _broker(broker), _forestHandle(handle), _table(table), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),
       _arbiter(arbiter), _thermalCap(opts.thermalCap),
       _apu(_model->params())
@@ -73,7 +74,8 @@ Session::reset()
     SessionPredictorOptions popts;
     popts.kernelCacheCap = _opts.kernelCacheCap;
     _predictor = std::make_shared<SessionPredictor>(
-        _base, _broker, _model, popts, _telemetry, _forestHandle);
+        _base, _broker, _model, popts, _telemetry, _forestHandle,
+        _table);
     _governor = std::make_unique<mpc::MpcGovernor>(_predictor, _opts.mpc,
                                                    _model);
     _governor->setDecisionCallback(

@@ -7,12 +7,13 @@
  * application trace, its modeled APU (thermal state and platform DVFS
  * config advance within a run), its MpcGovernor (pattern extractor,
  * performance tracker, hill-climb optimizer), and its SessionPredictor
- * (per-kernel prediction cache routing misses through the shared
- * broker). Nothing is shared mutably between sessions except the
- * broker and telemetry (both internally synchronized), so sessions are
- * isolated: one session's decisions are bit-identical regardless of
- * what other sessions run - the foundation of the deterministic fleet
- * mode.
+ * (an LRU of handles into the server's shared prediction table,
+ * routing misses through the shared broker). Nothing is shared mutably
+ * between sessions except the broker, the prediction table and
+ * telemetry (all internally synchronized, and a table value is the
+ * same bits whichever session filled it), so sessions are isolated:
+ * one session's decisions are bit-identical regardless of what other
+ * sessions run - the foundation of the deterministic fleet mode.
  *
  * step() executes exactly one invocation of the Simulator::run loop
  * body - decide, charge host phase and overhead, reconfigure, run the
@@ -51,7 +52,7 @@ struct SessionOptions
     mpc::MpcOptions mpc;
     /** MPC-optimized runs after the PPK profiling run. */
     std::size_t optimizedRuns = 2;
-    /** LRU cap on the session's per-kernel prediction cache. */
+    /** LRU cap on the session's handles into the prediction table. */
     std::size_t kernelCacheCap = 32;
     /** Priority weight for the arbiter's weighted split policy. */
     double capWeight = 1.0;
@@ -115,6 +116,8 @@ class Session
      *        session registers itself with its Turbo-baseline mean
      *        power as demand, its model's capFloorWatts as floor, and
      *        unregisters on destruction.
+     * @param table The server's shared prediction table; null gives
+     *        the session a private one.
      */
     Session(SessionId id, workload::Application app,
             std::shared_ptr<const ml::PerfPowerPredictor> base,
@@ -122,7 +125,8 @@ class Session
             hw::HardwareModelPtr model,
             telemetry::Registry *telemetry = nullptr,
             const online::ForestHandle *handle = nullptr,
-            powercap::FleetCapArbiter *arbiter = nullptr);
+            powercap::FleetCapArbiter *arbiter = nullptr,
+            PredictionTable *table = nullptr);
 
     ~Session();
 
@@ -201,6 +205,7 @@ class Session
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
     InferenceBroker *_broker;
     const online::ForestHandle *_forestHandle;
+    PredictionTable *_table;
     SessionOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;

@@ -11,10 +11,10 @@ SessionManager::SessionManager(
     InferenceBroker *broker, const SessionManagerOptions &opts,
     hw::HardwareModelPtr model, telemetry::Registry *telemetry,
     const online::ForestHandle *handle,
-    powercap::FleetCapArbiter *arbiter)
+    powercap::FleetCapArbiter *arbiter, PredictionTable *table)
     : _base(std::move(base)), _broker(broker), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),
-      _forestHandle(handle), _arbiter(arbiter)
+      _forestHandle(handle), _arbiter(arbiter), _table(table)
 {
     GPUPM_ASSERT(_base != nullptr, "session manager needs a predictor");
     GPUPM_ASSERT(_model != nullptr,
@@ -65,7 +65,7 @@ SessionManager::createWithId(SessionId id,
     auto session = std::make_unique<Session>(
         id, app, _base, _broker, opts,
         opts.model ? opts.model : _model, _telemetry, _forestHandle,
-        _arbiter);
+        _arbiter, _table);
 
     std::lock_guard lock(_mutex);
     GPUPM_ASSERT(_slots.find(id) == _slots.end(),

@@ -2,12 +2,15 @@
  * @file
  * Session lifecycle: create / checkout / reset / evict with an LRU cap.
  *
- * The manager bounds fleet memory: each session carries dense per-kernel
- * prediction memos (kernelCacheCap * denseConfigCount predictions), so
- * an unbounded tenant count would grow without limit. When a create
- * would exceed maxSessions the least-recently-used *idle* session is
- * evicted (checked-out sessions are pinned; evicting a session mid-step
- * would pull state out from under a worker).
+ * The manager bounds fleet memory: each session's LRU holds up to
+ * kernelCacheCap entries of the server's prediction table (each a dense
+ * denseConfigCount-prediction memo), and a table entry lives only while
+ * some resident session holds it, so the table is bounded by resident
+ * sessions x kernelCacheCap entries - less when tenants share kernels,
+ * since a shared kernel is one entry. When a create would exceed
+ * maxSessions the least-recently-used *idle* session is evicted
+ * (checked-out sessions are pinned; evicting a session mid-step would
+ * pull state out from under a worker).
  *
  * checkout()/checkin() give workers exclusive access: a session is
  * processed by one worker at a time, which is what lets Session and
@@ -46,6 +49,8 @@ class SessionManager
      *        session; null = static forests.
      * @param arbiter Fleet cap arbiter handed to every session; null =
      *        no fleet budget.
+     * @param table Prediction table shared by every session; null =
+     *        one private table per session.
      */
     SessionManager(std::shared_ptr<const ml::PerfPowerPredictor> base,
                    InferenceBroker *broker,
@@ -53,7 +58,8 @@ class SessionManager
                    hw::HardwareModelPtr model,
                    telemetry::Registry *telemetry = nullptr,
                    const online::ForestHandle *handle = nullptr,
-                   powercap::FleetCapArbiter *arbiter = nullptr);
+                   powercap::FleetCapArbiter *arbiter = nullptr,
+                   PredictionTable *table = nullptr);
 
     /**
      * Create a session for @p app; evicts the LRU idle session when at
@@ -113,6 +119,7 @@ class SessionManager
     telemetry::Registry *_telemetry;
     const online::ForestHandle *_forestHandle;
     powercap::FleetCapArbiter *_arbiter;
+    PredictionTable *_table;
 
     mutable std::mutex _mutex;
     std::unordered_map<SessionId, Slot> _slots;

@@ -12,7 +12,6 @@
 
 #include "ml/predictor.hpp"
 #include "mpc/governor.hpp"
-#include "mpc/pool.hpp"
 #include "policy/turbo_core.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -136,7 +135,7 @@ TEST(GovernorPaths, UniformPacingEndToEnd)
     EXPECT_GT(sim::speedup(base, rp), 0.9);
 }
 
-TEST(GovernorPaths, PhasesAndPoolCompose)
+TEST(GovernorPaths, PhasesHideDecisionLatency)
 {
     auto app = workload::withCpuPhases(
         workload::makeBenchmark("Spmv"), 0.5);
@@ -144,9 +143,9 @@ TEST(GovernorPaths, PhasesAndPoolCompose)
     policy::TurboCoreGovernor turbo{hw::paperApu()};
     auto base = sim.run(app, turbo);
 
-    MpcGovernorPool pool(truth(), {}, hw::paperApu());
-    sim.run(app, pool, base.throughput());
-    auto r = sim.run(app, pool, base.throughput());
+    MpcGovernor gov(truth(), {}, hw::paperApu());
+    sim.run(app, gov, base.throughput());
+    auto r = sim.run(app, gov, base.throughput());
     EXPECT_GT(sim::speedup(base, r), 0.93);
     // All decision latency hidden by the phases.
     EXPECT_NEAR(sim::overheadTimePct(base, r), 0.0, 0.05);

@@ -1,11 +1,13 @@
 /**
  * @file
- * serve::InferenceBroker and serve::SessionPredictor contract tests:
- * bit-identity of brokered evaluation against direct predictRows, the
- * three flush triggers (batch-full, all-waiting coalescing,
- * deadline safety net), and the per-session kernel cache (hits,
- * passthrough modes, LRU eviction). Run under -DGPUPM_TSAN=ON to
- * validate the broker's locking discipline.
+ * serve::InferenceBroker, serve::SessionPredictor and
+ * serve::PredictionTable contract tests: bit-identity of brokered
+ * evaluation against direct predictRows, the three flush triggers
+ * (batch-full, all-waiting coalescing, deadline safety net), the
+ * per-session kernel LRU (hits, passthrough modes, eviction) and the
+ * fleet-shared prediction table (sharing, key isolation, hot-swap,
+ * lifetime, concurrent fills). Run under -DGPUPM_TSAN=ON to validate
+ * the broker's and the table's locking discipline.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,8 @@
 #include "ml/features.hpp"
 #include "ml/trainer.hpp"
 #include "serve/broker.hpp"
+#include "serve/server.hpp"
+#include "serve/session_manager.hpp"
 #include "serve/session_predictor.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/training.hpp"
@@ -29,12 +33,13 @@ namespace gpupm::serve {
 namespace {
 
 std::shared_ptr<const ml::RandomForestPredictor>
-tinyRf()
+tinyRf(std::uint64_t seed = ml::TrainerOptions{}.seed)
 {
     ml::TrainerOptions opts;
     opts.corpusSize = 8;
     opts.configStride = 8;
     opts.forest.numTrees = 8;
+    opts.seed = seed;
     return ml::trainRandomForestPredictor(opts);
 }
 
@@ -416,6 +421,260 @@ TEST(SessionPredictor, ClearCacheDropsEveryEntry)
     EXPECT_EQ(sp.cachedKernels(), 1u);
     sp.clearCache();
     EXPECT_EQ(sp.cachedKernels(), 0u);
+}
+
+/** Counter value, 0 when the counter was never created. */
+std::uint64_t
+counter(const telemetry::Registry &reg, const char *name)
+{
+    const auto snap = reg.snapshot();
+    const auto it = snap.counters.find(name);
+    return it != snap.counters.end() ? it->second : 0;
+}
+
+void
+expectSameBits(const std::vector<ml::Prediction> &got,
+               const std::vector<ml::Prediction> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].time, want[i].time) << "config " << i;
+        EXPECT_EQ(got[i].gpuPower, want[i].gpuPower) << "config " << i;
+    }
+}
+
+TEST(PredictionTable, SecondSessionOnTheSameKernelWalksNoRows)
+{
+    auto rf = tinyRf();
+    InferenceBroker broker(rf);
+    PredictionTable table;
+    telemetry::Registry reg;
+    SessionPredictor first(rf, &broker, hw::paperApu(), {}, &reg,
+                           nullptr, &table);
+    SessionPredictor second(rf, &broker, hw::paperApu(), {}, &reg,
+                            nullptr, &table);
+    const auto fx = sampleQuery(0x5a5);
+    std::vector<ml::Prediction> want(fx.configs.size());
+    rf->predictBatch(fx.query, fx.configs, want);
+
+    std::vector<ml::Prediction> got(fx.configs.size());
+    first.predictBatch(fx.query, fx.configs, got);
+    expectSameBits(got, want);
+    EXPECT_EQ(broker.queryCount(), fx.configs.size());
+
+    // Another tenant on the same kernel is served from the table.
+    second.predictBatch(fx.query, fx.configs, got);
+    expectSameBits(got, want);
+    EXPECT_EQ(broker.queryCount(), fx.configs.size());
+    EXPECT_EQ(counter(reg, "serve.cache_miss_queries"), fx.configs.size());
+    EXPECT_EQ(counter(reg, "serve.cache_hit_queries"), fx.configs.size());
+    EXPECT_EQ(second.cachedKernels(), 1u);
+    EXPECT_EQ(table.liveEntries(), 1u);
+}
+
+TEST(PredictionTable, DifferentHardwareModelsNeverShareValues)
+{
+    auto rf = tinyRf();
+    PredictionTable table;
+    const auto fx = sampleQuery(0x6b6);
+    // An equal-parameter copy is still another model: identity is the
+    // model object, not its name or parameters.
+    const std::vector<hw::HardwareModelPtr> models = {
+        hw::paperApu(), hw::HardwareCatalog::instance().get("eco-apu"),
+        hw::makeModel("paper-copy", hw::ApuParams::defaults())};
+
+    // Every session stays resident, so each model's entry is live
+    // while the next model looks its kernel up.
+    std::vector<std::unique_ptr<SessionPredictor>> sessions;
+    for (const auto &model : models) {
+        telemetry::Registry reg;
+        sessions.push_back(std::make_unique<SessionPredictor>(
+            rf, nullptr, model, SessionPredictorOptions{}, &reg, nullptr,
+            &table));
+        SessionPredictor alone(rf, nullptr, model);
+        std::vector<ml::Prediction> got(fx.configs.size()),
+            want(fx.configs.size());
+        sessions.back()->predictBatch(fx.query, fx.configs, got);
+        alone.predictBatch(fx.query, fx.configs, want);
+        expectSameBits(got, want);
+        EXPECT_EQ(counter(reg, "serve.cache_miss_queries"),
+                  fx.configs.size())
+            << model->name() << " was served another model's values";
+    }
+    EXPECT_EQ(table.liveEntries(), models.size());
+}
+
+TEST(PredictionTable, HotSwapNeverServesOutgoingGenerationValues)
+{
+    auto gen0 = tinyRf();
+    auto gen1 = tinyRf(0x5eed);
+    const auto fx = sampleQuery(0x7c7);
+    std::vector<ml::Prediction> want0(fx.configs.size()),
+        want1(fx.configs.size());
+    gen0->predictBatch(fx.query, fx.configs, want0);
+    gen1->predictBatch(fx.query, fx.configs, want1);
+    bool differs = false;
+    for (std::size_t i = 0; i < want0.size(); ++i)
+        differs = differs || want0[i].time != want1[i].time;
+    ASSERT_TRUE(differs) << "the generations must predict differently";
+
+    for (const bool brokered : {false, true}) {
+        SCOPED_TRACE(brokered ? "brokered" : "direct");
+        online::ForestHandle handle(gen0);
+        InferenceBroker broker(handle);
+        InferenceBroker *b = brokered ? &broker : nullptr;
+        PredictionTable table;
+        SessionPredictor early(gen0, b, hw::paperApu(), {}, nullptr,
+                               &handle, &table);
+        SessionPredictor late(gen0, b, hw::paperApu(), {}, nullptr,
+                              &handle, &table);
+        std::vector<ml::Prediction> got(fx.configs.size());
+        early.predictBatch(fx.query, fx.configs, got);
+        expectSameBits(got, want0);
+        handle.publish(gen1);
+
+        // Neither a session holding the outgoing entry nor a new one
+        // may see the outgoing generation's values.
+        late.predictBatch(fx.query, fx.configs, got);
+        expectSameBits(got, want1);
+        early.predictBatch(fx.query, fx.configs, got);
+        expectSameBits(got, want1);
+        // Both handles moved; the outgoing entry died with them.
+        EXPECT_EQ(table.liveEntries(), 1u);
+    }
+}
+
+TEST(PredictionTable, TwoServersOnOnePredictorKeepSeparateTables)
+{
+    auto rf = tinyRf();
+    FleetServer one(rf), two(rf);
+    EXPECT_NE(&one.predictionTable(), &two.predictionTable());
+
+    const auto play = [](FleetServer &server) {
+        SessionOptions opts;
+        opts.optimizedRuns = 1;
+        const auto id = server.createSession(
+            workload::randomApplication(0x42, 4), opts);
+        Session *s = server.sessions().checkout(id);
+        while (!s->finished())
+            s->step();
+        server.sessions().checkin(id);
+        return counter(server.telemetry(), "serve.cache_miss_queries");
+    };
+    const auto misses = play(one);
+    ASSERT_GT(misses, 0u);
+    // The same tenant on the second server walks the same rows again.
+    EXPECT_EQ(play(two), misses);
+}
+
+TEST(PredictionTable, EntryIsFreedWhenItsLastSessionIsEvicted)
+{
+    auto rf = tinyRf();
+    PredictionTable table;
+    SessionManager mgr(rf, nullptr, {}, hw::paperApu(), nullptr, nullptr,
+                       nullptr, &table);
+    SessionOptions opts;
+    opts.optimizedRuns = 1;
+    const auto app = workload::randomApplication(0x43, 4);
+    const auto a = mgr.create(app, opts);
+    const auto b = mgr.create(app, opts);
+    for (const auto id : {a, b}) {
+        Session *s = mgr.checkout(id);
+        while (!s->finished())
+            s->step();
+        mgr.checkin(id);
+    }
+    const std::size_t live = table.liveEntries();
+    ASSERT_GT(live, 0u);
+    Session *sb = mgr.checkout(b);
+    EXPECT_EQ(sb->predictor().cachedKernels(), live);
+    mgr.checkin(b);
+
+    // b runs the same app, so it still holds every entry a held.
+    ASSERT_TRUE(mgr.evict(a));
+    EXPECT_EQ(table.liveEntries(), live);
+    ASSERT_TRUE(mgr.evict(b));
+    EXPECT_EQ(table.liveEntries(), 0u);
+}
+
+TEST(PredictionTable, CapZeroStaysAPassthrough)
+{
+    auto rf = tinyRf();
+    InferenceBroker broker(rf);
+    PredictionTable table;
+    SessionPredictorOptions opts;
+    opts.kernelCacheCap = 0;
+    SessionPredictor sp(rf, &broker, hw::paperApu(), opts, nullptr,
+                        nullptr, &table);
+    const auto fx = sampleQuery(0x8d8);
+    std::vector<ml::Prediction> want(fx.configs.size());
+    rf->predictBatch(fx.query, fx.configs, want);
+    std::vector<ml::Prediction> got(fx.configs.size());
+    for (int pass = 0; pass < 2; ++pass) {
+        sp.predictBatch(fx.query, fx.configs, got);
+        expectSameBits(got, want);
+    }
+    EXPECT_EQ(sp.cachedKernels(), 0u);
+    EXPECT_EQ(table.liveEntries(), 0u);
+    EXPECT_EQ(broker.queryCount(), 0u);
+}
+
+TEST(PredictionTable, ConcurrentCrossShardFillAndHit)
+{
+    // Sessions of two shards (one broker each) share one table. Every
+    // thread re-fills and re-reads the same few kernels in its own
+    // order; a cap of 2 keeps handles churning through acquire and
+    // release. Every value must match the forests bit for bit, and
+    // TSan must see no race on an entry's slots.
+    constexpr std::size_t kThreads = 4;
+    constexpr int kIters = 40;
+    auto rf = tinyRf();
+    InferenceBroker shard0(rf), shard1(rf);
+    PredictionTable table;
+    std::vector<QueryFixture> kernels;
+    std::vector<std::vector<ml::Prediction>> want;
+    for (std::uint64_t k = 0; k < 3; ++k) {
+        kernels.push_back(sampleQuery(0x900 + k, 48));
+        want.emplace_back(kernels.back().configs.size());
+        rf->predictBatch(kernels.back().query, kernels.back().configs,
+                         want.back());
+    }
+
+    Barrier start(kThreads);
+    std::vector<int> failures(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            InferenceBroker &broker = t % 2 ? shard1 : shard0;
+            SessionPredictorOptions opts;
+            opts.kernelCacheCap = 2;
+            SessionPredictor sp(rf, &broker, hw::paperApu(), opts,
+                                nullptr, nullptr, &table);
+            start.arriveAndWait();
+            for (int i = 0; i < kIters; ++i) {
+                const std::size_t k = (t + static_cast<std::size_t>(i)) % 3;
+                // A thread-specific window of the configs: partial
+                // overlaps make some slots hits and some fresh fills.
+                const std::size_t n = kernels[k].configs.size();
+                const std::size_t lo = (t * 7 + static_cast<std::size_t>(i) * 5) % (n / 2);
+                const std::span<const hw::HwConfig> cs(
+                    kernels[k].configs.data() + lo, n / 2);
+                std::vector<ml::Prediction> got(cs.size());
+                InferenceBroker::DecisionScope scope(broker);
+                sp.predictBatch(kernels[k].query, cs, got);
+                for (std::size_t j = 0; j < got.size(); ++j) {
+                    if (got[j].time != want[k][lo + j].time ||
+                        got[j].gpuPower != want[k][lo + j].gpuPower)
+                        ++failures[t];
+                }
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(failures[t], 0) << "thread " << t;
+    EXPECT_EQ(table.liveEntries(), 0u);
 }
 
 } // namespace

@@ -29,6 +29,14 @@ change, not a like-for-like result. Pass --allow-simd-mismatch for the
 deliberate cross-engine comparison (e.g. quantifying the quantized
 speedup itself).
 
+Both files must also come from the same host shape: google-benchmark's
+context records num_cpus and library_build_type, and a mismatch in
+either is refused with exit code 2 the same way - a 4-CPU candidate
+"beating" a 1-CPU baseline, or a release library against a debug one,
+measures the host, not the change. --allow-cpu-mismatch and
+--allow-build-type-mismatch override each check for a deliberate
+cross-host comparison.
+
 Capture inputs with:
     bench_micro_runtime --benchmark_min_time=0.5 \
         --benchmark_out=out.json --benchmark_out_format=json
@@ -42,12 +50,23 @@ import sys
 
 
 def load_context(path):
-    """(simd_path, quant) recorded in the run's context block."""
+    """The run's context block."""
     with open(path) as f:
-        doc = json.load(f)
-    ctx = doc.get("context", {})
-    return (ctx.get("gpupm_simd_path", "scalar"),
-            ctx.get("gpupm_quant", "float64"))
+        return json.load(f).get("context", {})
+
+
+# (what differs, how to read it from a context, override flag)
+CONTEXT_CHECKS = (
+    ("inference engines",
+     lambda c: "/".join((c.get("gpupm_simd_path", "scalar"),
+                         c.get("gpupm_quant", "float64"))),
+     "allow_simd_mismatch"),
+    ("CPU counts", lambda c: str(c.get("num_cpus", "unknown")),
+     "allow_cpu_mismatch"),
+    ("benchmark library build types",
+     lambda c: c.get("library_build_type", "unknown"),
+     "allow_build_type_mismatch"),
+)
 
 
 PERCENTILE_KEYS = ("latency_p50_ns", "latency_p95_ns", "latency_p99_ns")
@@ -97,20 +116,27 @@ def main():
     ap.add_argument("--allow-simd-mismatch", action="store_true",
                     help="compare runs from different inference "
                          "engines (deliberate cross-engine studies)")
+    ap.add_argument("--allow-cpu-mismatch", action="store_true",
+                    help="compare runs from hosts with different CPU "
+                         "counts (deliberate cross-host studies)")
+    ap.add_argument("--allow-build-type-mismatch", action="store_true",
+                    help="compare runs linked against benchmark "
+                         "libraries of different build types")
     args = ap.parse_args()
 
-    base_engine = load_context(args.baseline)
-    cand_engine = load_context(args.candidate)
-    if base_engine != cand_engine:
-        msg = (f"inference engines differ: baseline is "
-               f"{base_engine[0]}/{base_engine[1]}, candidate is "
-               f"{cand_engine[0]}/{cand_engine[1]}")
-        if not args.allow_simd_mismatch:
-            print(f"error: {msg}; rerun both on one engine or pass "
-                  f"--allow-simd-mismatch", file=sys.stderr)
+    base_ctx = load_context(args.baseline)
+    cand_ctx = load_context(args.candidate)
+    for what, read, allow in CONTEXT_CHECKS:
+        b, c = read(base_ctx), read(cand_ctx)
+        if b == c:
+            continue
+        msg = f"{what} differ: baseline is {b}, candidate is {c}"
+        flag = "--" + allow.replace("_", "-")
+        if not getattr(args, allow):
+            print(f"error: {msg}; rerun both on one configuration or "
+                  f"pass {flag}", file=sys.stderr)
             return 2
-        print(f"warning: {msg} (--allow-simd-mismatch)",
-              file=sys.stderr)
+        print(f"warning: {msg} ({flag})", file=sys.stderr)
 
     base, base_pcts = load_benchmarks(args.baseline)
     cand, cand_pcts = load_benchmarks(args.candidate)

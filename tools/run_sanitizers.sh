@@ -10,11 +10,11 @@
 #
 #   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer'
 #
-# or the fleet-serving path (request queue, broker, sharded server,
-# shed controller, wire protocol and the epoll net server — the set CI
-# runs under its scoped TSan leg):
+# or the fleet-serving path (request queue, broker, shared prediction
+# table, sharded server, shed controller, wire protocol and the epoll
+# net server — the set CI runs under its scoped TSan leg):
 #
-#   tools/run_sanitizers.sh -R 'RequestQueue|InferenceBroker|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
+#   tools/run_sanitizers.sh -R 'RequestQueue|InferenceBroker|PredictionTable|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
 #
 # A single sanitizer can be selected with --only (used by CI, where
 # TSan and ASan run as separate jobs):
