@@ -107,8 +107,8 @@ sessionPower(const serve::FleetResult &result, std::size_t fromRun)
             continue;
         const double e = rec.cpuEnergy + rec.gpuEnergy;
         energy[rec.session] += e;
-        if (rec.measuredPower > 0.0)
-            wall[rec.session] += e / rec.measuredPower;
+        if (rec.chipPower > 0.0)
+            wall[rec.session] += e / rec.chipPower;
     }
     std::map<serve::SessionId, double> power;
     for (const auto &[id, e] : energy)

@@ -101,42 +101,32 @@ sim::Decision
 MpcGovernor::decide(std::size_t index)
 {
     trace::Span span(trace::Category::Mpc, "mpc.decide");
-    if (_sink) {
-        _traceRec = {};
-        _traceRec.app = _appName;
-        _traceRec.session = _traceSession;
-        _traceRec.run = _traceRunIndex;
-        _traceRec.index = index;
-        _tracePending = true;
+    _record = {};
+    _record.index = index;
+    _tracePending = _sink != nullptr;
+    if (_tracePending) {
+        _record.app = _appName;
+        _record.session = _traceSession;
+        _record.run = _traceRunIndex;
     }
 
     if (!_optimizing) {
         // Profiling execution: plain PPK while the pattern extractor
         // learns the application (Sec. V-B).
         auto d = _ppk.decide(index);
+        const std::size_t evals = _ppk.lastEvaluationCount();
         _pendingCharged = d.overheadTime;
-        _pendingModeled =
-            _ppk.lastEvaluationCount() > 0
-                ? _opts.overhead.cost(_ppk.lastEvaluationCount())
-                : 0.0;
+        _pendingModeled = evals > 0 ? _opts.overhead.cost(evals) : 0.0;
         _stats.overheadTime += d.overheadTime;
-        _stats.evaluations += _ppk.lastEvaluationCount();
-        _stats.uniqueEvaluations += _ppk.lastEvaluationCount();
-        if (_onDecision) {
-            _onDecision({index, 0, _ppk.lastEvaluationCount(),
-                         _ppk.lastEvaluationCount(), true, d.config,
-                         d.overheadTime});
-        }
-        if (_tracePending) {
-            _traceRec.tag = 'P';
-            _traceRec.profiling = true;
-            _traceRec.evaluations = _ppk.lastEvaluationCount();
-            _traceRec.uniqueEvaluations = _ppk.lastEvaluationCount();
-            _traceRec.configIndex = hw::denseConfigIndex(d.config);
-            _traceRec.overheadTime = d.overheadTime;
-        }
-        span.arg("evals",
-                 static_cast<double>(_ppk.lastEvaluationCount()));
+        _stats.evaluations += evals;
+        _stats.uniqueEvaluations += evals;
+        _record.tag = 'P';
+        _record.profiling = true;
+        _record.evaluations = evals;
+        _record.uniqueEvaluations = evals;
+        _record.configIndex = hw::denseConfigIndex(d.config);
+        _record.overheadTime = d.overheadTime;
+        span.arg("evals", static_cast<double>(evals));
         return d;
     }
 
@@ -145,7 +135,6 @@ MpcGovernor::decide(std::size_t index)
     const std::size_t h = horizonFor(index);
     _stats.horizonSum += static_cast<double>(h);
     ++_stats.decisions;
-    _capLimited = false;
 
     sim::Decision d;
     if (!_pattern.hasLearnedSequence()) {
@@ -167,7 +156,7 @@ MpcGovernor::decide(std::size_t index)
             // cap violation the arbiter would punish the whole session
             // for.
             cfg = _model->failSafe();
-            _capLimited = true;
+            _record.capLimited = true;
         }
         if (_tracker.onTarget()) {
             cfg = _model->failSafe();
@@ -180,34 +169,22 @@ MpcGovernor::decide(std::size_t index)
         d.config = cfg;
         d.overheadTime = 0.0;
         _pendingModeled = 0.0;
-        if (_tracePending)
-            _traceRec.tag = 'B';
+        _record.tag = 'B';
     } else {
         d = optimizeWindow(index, h);
     }
 
     _pendingCharged = d.overheadTime;
     _stats.overheadTime += d.overheadTime;
-    if (_onDecision) {
-        _onDecision({index, h, _stats.evaluations - evals_before,
-                     _stats.uniqueEvaluations - unique_before, false,
-                     d.config, d.overheadTime, _capLimited});
-    }
-    if (_tracePending) {
-        _traceRec.horizon = h;
-        _traceRec.evaluations = _stats.evaluations - evals_before;
-        _traceRec.uniqueEvaluations =
-            _stats.uniqueEvaluations - unique_before;
-        _traceRec.configIndex = hw::denseConfigIndex(d.config);
-        _traceRec.overheadTime = d.overheadTime;
-        if (std::isfinite(_powerCap)) {
-            _traceRec.powerCap = _powerCap;
-            _traceRec.capLimited = _capLimited;
-        }
-    }
+    _record.horizon = h;
+    _record.evaluations = _stats.evaluations - evals_before;
+    _record.uniqueEvaluations = _stats.uniqueEvaluations - unique_before;
+    _record.configIndex = hw::denseConfigIndex(d.config);
+    _record.overheadTime = d.overheadTime;
+    if (std::isfinite(_powerCap))
+        _record.powerCap = _powerCap;
     span.arg("horizon", static_cast<double>(h));
-    span.arg("evals",
-             static_cast<double>(_stats.evaluations - evals_before));
+    span.arg("evals", static_cast<double>(_record.evaluations));
     return d;
 }
 
@@ -219,8 +196,7 @@ MpcGovernor::fallbackDecide()
     const std::size_t store = _pattern.storeSize();
     if (store == 0) {
         _pendingModeled = 0.0;
-        if (_tracePending)
-            _traceRec.tag = 'F';
+        _record.tag = 'F';
         return {_model->failSafe(), 0.0};
     }
     // The most recently observed kernel is the best "previous" guess.
@@ -274,18 +250,16 @@ MpcGovernor::fallbackDecide()
     std::size_t chosen_i = best_i != cfgsNone ? best_i : fastest_i;
     if (chosen_i == cfgsNone) {
         chosen_i = min_power_i;
-        _capLimited = true;
+        _record.capLimited = true;
     }
     sim::Decision d;
     d.config = cfgs[chosen_i];
     d.overheadTime = _opts.chargeOverhead ? _pendingModeled : 0.0;
-    if (_tracePending) {
-        _traceRec.tag = 'F';
-        _traceRec.headroom = headroom;
-        _traceRec.hasHeadroom = true;
-        _traceRec.predictedTime = ests[chosen_i].time;
-        _traceRec.predictedEnergy = ests[chosen_i].energy;
-    }
+    _record.tag = 'F';
+    _record.headroom = headroom;
+    _record.hasHeadroom = true;
+    _record.predictedTime = ests[chosen_i].time;
+    _record.predictedEnergy = ests[chosen_i].energy;
     return d;
 }
 
@@ -345,7 +319,7 @@ MpcGovernor::optimizeWindow(std::size_t index, std::size_t horizon)
         // Candidate capture only for the kernel actually being decided;
         // lookahead kernels are re-optimized when their turn comes.
         std::vector<trace::CandidateEval> *cands =
-            (_tracePending && inv == index) ? &_traceRec.candidates
+            (_tracePending && inv == index) ? &_record.candidates
                                            : nullptr;
         const auto res = _climber.optimize(*_predictor, q, headroom,
                                            _model->failSafe(), cands,
@@ -368,14 +342,12 @@ MpcGovernor::optimizeWindow(std::size_t index, std::size_t horizon)
             found_current = true;
             _pendingExpectedTime = expected_time;
             if (!res.capOk)
-                _capLimited = true;
-            if (_tracePending) {
-                _traceRec.tag = 'W';
-                _traceRec.headroom = headroom;
-                _traceRec.hasHeadroom = true;
-                _traceRec.predictedTime = res.predictedTime;
-                _traceRec.predictedEnergy = res.predictedEnergy;
-            }
+                _record.capLimited = true;
+            _record.tag = 'W';
+            _record.headroom = headroom;
+            _record.hasHeadroom = true;
+            _record.predictedTime = res.predictedTime;
+            _record.predictedEnergy = res.predictedEnergy;
         }
     }
     GPUPM_ASSERT(found_current, "current kernel missing from window");
@@ -424,20 +396,20 @@ MpcGovernor::observe(const sim::Observation &obs)
     }
 
     if (_tracePending && _sink) {
-        _traceRec.kernelSignature =
+        _record.kernelSignature =
             std::hash<kernel::Signature>{}(kernel::signatureOf(m.counters));
-        _traceRec.observed = true;
-        _traceRec.measuredTime = m.time;
-        _traceRec.measuredGpuPower = m.gpuPower;
-        _traceRec.counters = m.counters;
-        _traceRec.measuredInstructions = m.instructions;
-        _traceRec.nonKernelTime = obs.nonKernelTime;
-        _traceRec.targetThroughput = _tracker.target();
-        if (_traceRec.predictedTime >= 0.0 && m.time > 0.0) {
-            _traceRec.timeErrorPct =
-                100.0 * (_traceRec.predictedTime - m.time) / m.time;
+        _record.observed = true;
+        _record.measuredTime = m.time;
+        _record.measuredGpuPower = m.gpuPower;
+        _record.counters = m.counters;
+        _record.measuredInstructions = m.instructions;
+        _record.nonKernelTime = obs.nonKernelTime;
+        _record.targetThroughput = _tracker.target();
+        if (_record.predictedTime >= 0.0 && m.time > 0.0) {
+            _record.timeErrorPct =
+                100.0 * (_record.predictedTime - m.time) / m.time;
         }
-        _sink->record(std::move(_traceRec));
+        _sink->record(std::move(_record));
     }
     _tracePending = false;
 

@@ -20,7 +20,6 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -58,34 +57,6 @@ struct MpcRunStats
         return horizonSum /
                (static_cast<double>(decisions) * static_cast<double>(n));
     }
-};
-
-/**
- * Per-decision event emitted to the decision callback. Run-cumulative
- * MpcRunStats cannot be reconstructed into per-decision costs by an
- * outside observer (decisions interleave with observes), so serving
- * integrations that want per-decision evaluation counts or latency
- * attribution subscribe here.
- */
-struct DecisionEvent
-{
-    std::size_t index = 0;
-    /** Optimization window length (0 while profiling or budget-out). */
-    std::size_t horizon = 0;
-    /** Evaluations charged by the overhead model for this decision. */
-    std::size_t evaluations = 0;
-    /** Distinct predictor evaluations after memoization. */
-    std::size_t uniqueEvaluations = 0;
-    bool profiling = false;
-    hw::HwConfig config;
-    Seconds overheadTime = 0.0;
-    /**
-     * The power cap altered this decision: no candidate fit under the
-     * cap and the deterministic fail-safe was substituted, or the race
-     * configuration was suppressed because a finite cap is active.
-     * Always false with no cap set.
-     */
-    bool capLimited = false;
 };
 
 class MpcGovernor : public sim::Governor
@@ -142,23 +113,23 @@ class MpcGovernor : public sim::Governor
     Watts powerCap() const { return _powerCap; }
 
     /**
-     * Subscribe to per-decision events (fired at the end of every
-     * decide(), profiling included). Pass an empty function to
-     * unsubscribe. The callback runs on the deciding thread.
+     * The most recent decision. decide() fills the path tag, horizon,
+     * choice, predictions, evaluation counts, charged overhead and cap
+     * outcome on every call, profiling included; the app/session/run
+     * labels, the scored candidates and (in observe()) the measured
+     * outcome are captured only while a sink is attached, so the
+     * untraced path neither allocates nor copies strings. Valid until
+     * the next observe() hands it to the sink.
      */
-    void
-    setDecisionCallback(std::function<void(const DecisionEvent &)> cb)
-    {
-        _onDecision = std::move(cb);
-    }
+    const trace::DecisionRecord &lastDecision() const { return _record; }
 
     /**
      * Attach a decision-provenance sink (null to detach). Every
-     * decide() then assembles a trace::DecisionRecord - inputs, scored
-     * candidates, choice - which is completed with the measured outcome
-     * in observe() and handed to the sink. Pure observation: decisions
-     * are identical with or without a sink. The sink must outlive the
-     * governor; @p session labels the records (fleet session id).
+     * decide() then captures the full record, which observe() completes
+     * with the measured outcome and hands to the sink. Pure
+     * observation: decisions are identical with or without a sink. The
+     * sink must outlive the governor; @p session labels the records
+     * (fleet session id).
      */
     void
     setDecisionSink(trace::DecisionSink *sink, std::uint64_t session = 0)
@@ -197,8 +168,6 @@ class MpcGovernor : public sim::Governor
 
     /** Per-session power cap (infinity = uncapped). */
     Watts _powerCap = std::numeric_limits<Watts>::infinity();
-    /** Set by the decide paths when the cap altered the decision. */
-    bool _capLimited = false;
 
     // Per-decision bookkeeping.
     Seconds _pendingCharged = 0.0;
@@ -207,16 +176,17 @@ class MpcGovernor : public sim::Governor
     Seconds _pendingExpectedTime = -1.0;
     MpcRunStats _stats;
     std::string _appName;
-    std::function<void(const DecisionEvent &)> _onDecision;
+
+    /** The decision made by the last decide(); see lastDecision(). */
+    trace::DecisionRecord _record;
 
     // Decision-provenance capture (null sink = no capture).
     trace::DecisionSink *_sink = nullptr;
     std::uint64_t _traceSession = 0;
     std::size_t _runsBegun = 0;
     std::size_t _traceRunIndex = 0;
-    /** Record under construction between decide() and observe();
-     *  meaningful only while _tracePending. */
-    trace::DecisionRecord _traceRec;
+    /** _record is being captured for the sink (set by decide() while a
+     *  sink is attached, cleared by observe()). */
     bool _tracePending = false;
 };
 

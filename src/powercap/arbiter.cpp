@@ -9,7 +9,10 @@ namespace gpupm::powercap {
 
 FleetCapArbiter::FleetCapArbiter(const ArbiterOptions &opts,
                                  telemetry::Registry *registry)
-    : _opts(opts), _registry(registry)
+    : _opts(opts),
+      _ownedRegistry(registry ? nullptr
+                              : std::make_unique<telemetry::Registry>()),
+      _registry(registry ? registry : _ownedRegistry.get())
 {
     GPUPM_ASSERT(_opts.window > 0, "cap window must be positive");
     GPUPM_ASSERT(_opts.sustain > 0, "cap sustain must be positive");
@@ -136,11 +139,8 @@ FleetCapArbiter::report(SessionCap *slot, Watts measured,
 {
     GPUPM_ASSERT(slot != nullptr, "report() without a cap slot");
     std::lock_guard<std::mutex> lock(_mutex);
-    if (measured > enforcedCap) {
-        _violations.fetch_add(1, std::memory_order_relaxed);
-        if (_registry != nullptr)
-            _registry->counter("powercap.violations").add(1);
-    }
+    if (measured > enforcedCap)
+        _registry->counter("powercap.violations").add(1);
     // Rolling demand for liveUsage re-splits; harmless (and unread)
     // in deterministic mode.
     slot->rolling = 0.8 * slot->rolling + 0.2 * measured;
@@ -175,14 +175,9 @@ FleetCapArbiter::rollWindowLocked(SessionCap &slot, Watts enforcedCap)
                 std::min(floor_scale, 1.0),
                 slot._throttle * _opts.backoffFraction);
             updateCapLocked(slot);
-            if (was_clean && slot._throttle < 1.0) {
-                _enters.fetch_add(1, std::memory_order_relaxed);
-                if (_registry != nullptr)
-                    _registry->counter("powercap.throttle_enters")
-                        .add(1);
-            }
-            if (_registry != nullptr)
-                _registry->counter("powercap.cap_tightened").add(1);
+            if (was_clean && slot._throttle < 1.0)
+                _registry->counter("powercap.throttle_enters").add(1);
+            _registry->counter("powercap.cap_tightened").add(1);
         }
         return;
     }
@@ -195,14 +190,9 @@ FleetCapArbiter::rollWindowLocked(SessionCap &slot, Watts enforcedCap)
             slot._throttle =
                 std::min(1.0, slot._throttle / _opts.backoffFraction);
             updateCapLocked(slot);
-            if (slot._throttle >= 1.0) {
-                _exits.fetch_add(1, std::memory_order_relaxed);
-                if (_registry != nullptr)
-                    _registry->counter("powercap.throttle_exits")
-                        .add(1);
-            }
-            if (_registry != nullptr)
-                _registry->counter("powercap.cap_relaxed").add(1);
+            if (slot._throttle >= 1.0)
+                _registry->counter("powercap.throttle_exits").add(1);
+            _registry->counter("powercap.cap_relaxed").add(1);
         }
     } else {
         // Under the cap but above the recovery band: inside the
@@ -228,9 +218,7 @@ FleetCapArbiter::rebalance()
         std::lock_guard<std::mutex> lock(_mutex);
         rebalanceLocked();
     }
-    _ticks.fetch_add(1, std::memory_order_relaxed);
-    if (_registry != nullptr)
-        _registry->counter("powercap.arbiter_ticks").add(1);
+    _registry->counter("powercap.arbiter_ticks").add(1);
 }
 
 std::size_t

@@ -208,22 +208,14 @@ class FleetCapArbiter
     void rebalance();
 
     std::size_t sessionCount() const;
-    std::uint64_t violations() const
-    {
-        return _violations.load(std::memory_order_relaxed);
-    }
-    std::uint64_t ticks() const
-    {
-        return _ticks.load(std::memory_order_relaxed);
-    }
-    std::uint64_t throttleEnters() const
-    {
-        return _enters.load(std::memory_order_relaxed);
-    }
-    std::uint64_t throttleExits() const
-    {
-        return _exits.load(std::memory_order_relaxed);
-    }
+
+    /**
+     * Where the arbiter's counters live (powercap.violations,
+     * powercap.arbiter_ticks, powercap.throttle_enters/_exits,
+     * powercap.cap_tightened/_relaxed): the registry passed at
+     * construction, or a private one when none was.
+     */
+    const telemetry::Registry &registry() const { return *_registry; }
 
   private:
     void rebalanceLocked();
@@ -234,16 +226,15 @@ class FleetCapArbiter
     Watts floorFor(const SessionCap &slot) const;
 
     ArbiterOptions _opts;
-    telemetry::Registry *_registry = nullptr;
+    /** Set only when no registry was passed. */
+    std::unique_ptr<telemetry::Registry> _ownedRegistry;
+    telemetry::Registry *_registry;
 
     mutable std::mutex _mutex;
     std::vector<std::unique_ptr<SessionCap>> _slots;
 
+    /** Fleet decision clock driving the re-split ticks. */
     std::atomic<std::uint64_t> _decisions{0};
-    std::atomic<std::uint64_t> _violations{0};
-    std::atomic<std::uint64_t> _ticks{0};
-    std::atomic<std::uint64_t> _enters{0};
-    std::atomic<std::uint64_t> _exits{0};
 };
 
 } // namespace gpupm::powercap

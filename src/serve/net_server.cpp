@@ -368,7 +368,7 @@ NetServer::eventLoop()
         DecisionRequest req;
         req.session = m.session;
         req.onDone = [impl_, conn](SessionId id,
-                                   const DecisionRecord *rec) {
+                                   const trace::DecisionRecord *rec) {
             {
                 std::lock_guard lock(conn->mutex);
                 if (auto it = conn->sessions.find(id);
@@ -391,10 +391,10 @@ NetServer::eventLoop()
                     d.configIndex =
                         static_cast<std::uint32_t>(rec->configIndex);
                     d.kernelTag =
-                        static_cast<std::uint8_t>(rec->tag);
-                    d.degraded = rec->degraded ? 1 : 0;
-                    d.kernelTime = rec->kernelTime;
-                    d.overheadTime = rec->overheadTime;
+                        static_cast<std::uint8_t>(rec->kernelTag);
+                    d.degraded = rec->tag == 'S' ? 1 : 0;
+                    d.kernelTime = rec->measuredTime;
+                    d.overheadTime = rec->exposedOverheadTime;
                     d.cpuEnergy = rec->cpuEnergy;
                     d.gpuEnergy = rec->gpuEnergy;
                     d.evaluations =
@@ -423,15 +423,8 @@ NetServer::eventLoop()
         for (const auto &[name, value] : snap.counters)
             stats.entries.emplace_back(name, value);
         stats.entries.emplace_back("serve.connections", accepted());
-        if (const auto *arbiter = _server.capArbiter()) {
+        if (const auto *arbiter = _server.capArbiter())
             stats.fleetBudgetWatts = arbiter->budgetWatts();
-            stats.capViolations = arbiter->violations();
-            stats.arbiterTicks = arbiter->ticks();
-        }
-        if (const auto it =
-                snap.counters.find("serve.deadline_misses");
-            it != snap.counters.end())
-            stats.deadlineMisses = it->second;
         std::lock_guard lock(conn->mutex);
         wire::encodeStats(conn->writeBuf, stats);
     };

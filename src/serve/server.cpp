@@ -272,7 +272,7 @@ FleetServer::process(const DecisionRequest &req)
         return;
     }
     const bool degraded = shard.shed->degraded();
-    const DecisionRecord rec = s->step(degraded);
+    const trace::DecisionRecord rec = s->step(degraded);
     shard.sessions->checkin(req.session);
     if (degraded)
         _shedDegraded->add();
@@ -281,9 +281,9 @@ FleetServer::process(const DecisionRequest &req)
         // violation window inside step(); here the shard rolls up its
         // tenants' cap pressure and the fleet-wide decision stream
         // drives the arbiter's re-split tick.
-        if (rec.cap >= 0.0) {
+        if (rec.powerCap >= 0.0) {
             shard.cappedDecisions->add();
-            if (rec.measuredPower > rec.cap)
+            if (rec.chipPower > rec.powerCap)
                 shard.capViolations->add();
         }
         _arbiter->onDecision();
@@ -366,7 +366,7 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
 
     struct Slot
     {
-        std::vector<DecisionRecord> records;
+        std::vector<trace::DecisionRecord> records;
         std::size_t expected = 0;
     };
     std::vector<Slot> slots(opts.sessionCount);
@@ -431,8 +431,8 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     // exactly one request per unfinished session is in flight; the
     // per-session record order is therefore the session's own step
     // order at any worker count.
-    std::function<void(SessionId, const DecisionRecord *)> on_done =
-        [&](SessionId id, const DecisionRecord *rec) {
+    std::function<void(SessionId, const trace::DecisionRecord *)>
+        on_done = [&](SessionId id, const trace::DecisionRecord *rec) {
             GPUPM_ASSERT(rec != nullptr, "fleet session vanished");
             Slot &slot = slots[slotOf.at(id)];
             slot.records.push_back(*rec);
@@ -478,20 +478,19 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
         .add(simd1.fallback - simd0.fallback);
     telem.counter("ml.rows_avx2").add(simd1.avx2 - simd0.avx2);
     out.metrics = server.metrics();
-    if (const auto *arbiter = server.capArbiter()) {
-        out.capViolations = arbiter->violations();
-        out.arbiterTicks = arbiter->ticks();
-    }
+    out.degradedDecisions =
+        out.metrics.counter("serve.shed_degraded_decisions");
+    out.capViolations = out.metrics.counter("powercap.violations");
+    out.arbiterTicks = out.metrics.counter("powercap.arbiter_ticks");
+    out.deadlineMisses = out.metrics.counter("serve.deadline_misses");
     server.stop();
     for (Slot &slot : slots) {
         out.decisions += slot.records.size();
-        for (const DecisionRecord &rec : slot.records) {
-            out.degradedDecisions += rec.degraded ? 1 : 0;
+        for (const trace::DecisionRecord &rec : slot.records)
             out.capLimitedDecisions += rec.capLimited ? 1 : 0;
-            out.deadlineMisses += rec.deadlineMissed ? 1 : 0;
-        }
-        out.trace.insert(out.trace.end(), slot.records.begin(),
-                         slot.records.end());
+        out.trace.insert(out.trace.end(),
+                         std::make_move_iterator(slot.records.begin()),
+                         std::make_move_iterator(slot.records.end()));
     }
     out.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
     out.decisionsPerSecond =
@@ -502,7 +501,7 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
 }
 
 std::string
-serializeFleetTrace(const std::vector<DecisionRecord> &trace)
+serializeFleetTrace(const std::vector<trace::DecisionRecord> &trace)
 {
     std::string out;
     out.reserve(trace.size() * 160);
@@ -514,9 +513,9 @@ serializeFleetTrace(const std::vector<DecisionRecord> &trace)
         // model) and "dm" (deadline miss on a run's last record).
         char cap[64];
         cap[0] = '\0';
-        if (r.cap >= 0.0) {
-            std::snprintf(cap, sizeof(cap), ",\"cap\":%.17g%s", r.cap,
-                          r.capLimited ? ",\"cl\":1" : "");
+        if (r.powerCap >= 0.0) {
+            std::snprintf(cap, sizeof(cap), ",\"cap\":%.17g%s",
+                          r.powerCap, r.capLimited ? ",\"cl\":1" : "");
         }
         char hw[96];
         hw[0] = '\0';
@@ -530,9 +529,9 @@ serializeFleetTrace(const std::vector<DecisionRecord> &trace)
             "\"kt\":%.17g,\"oh\":%.17g,\"ce\":%.17g,\"ge\":%.17g,"
             "\"ev\":%zu%s%s%s%s}\n",
             static_cast<unsigned long long>(r.session), r.run, r.index,
-            r.tag, r.configIndex, r.kernelTime, r.overheadTime,
-            r.cpuEnergy, r.gpuEnergy, r.evaluations,
-            r.degraded ? ",\"dg\":1" : "", cap, hw,
+            r.kernelTag, r.configIndex, r.measuredTime,
+            r.exposedOverheadTime, r.cpuEnergy, r.gpuEnergy,
+            r.evaluations, r.tag == 'S' ? ",\"dg\":1" : "", cap, hw,
             r.deadlineMissed ? ",\"dm\":1" : "");
         out += buf;
     }

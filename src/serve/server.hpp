@@ -26,11 +26,13 @@
  * sessions at the paper's fail-safe configuration, so the queue
  * drains at near-zero decision cost instead of growing unboundedly;
  * shed transitions and degraded decisions are counted in telemetry
- * and marked in DecisionRecord provenance.
+ * and marked with tag 'S' in the steps' trace::DecisionRecords.
  *
  * Server metrics (queue depth, decision latency, batch-size
- * histograms, rejected requests, steals, shed counters) accumulate in
- * an owned telemetry::Registry.
+ * histograms, rejected requests, steals, shed, powercap and deadline
+ * counters) accumulate in an owned telemetry::Registry, the one place
+ * each counter lives: FleetResult, the CLI summaries and the wire
+ * Stats frame are views of its snapshot.
  *
  * runFleet() is the deterministic driver used by the CLI, the golden
  * trace test and the benchmark: it creates N sessions (round-robin
@@ -114,7 +116,7 @@ struct DecisionRequest
      * when the session no longer exists (evicted or unknown) or has
      * already finished.
      */
-    std::function<void(SessionId, const DecisionRecord *)> onDone;
+    std::function<void(SessionId, const trace::DecisionRecord *)> onDone;
     /** Stamped by submit/trySubmit for latency accounting. */
     std::chrono::steady_clock::time_point submitted{};
 };
@@ -303,17 +305,18 @@ struct FleetOptions
 struct FleetResult
 {
     /** All decisions, ordered by (session, run, index). */
-    std::vector<DecisionRecord> trace;
+    std::vector<trace::DecisionRecord> trace;
     telemetry::Snapshot metrics;
     std::size_t sessions = 0;
     std::size_t decisions = 0;
-    /** Decisions served on the shed fast path (fail-safe config). */
+    /** Decisions served on the shed fast path (fail-safe config);
+     *  the serve.shed_degraded_decisions counter. */
     std::size_t degradedDecisions = 0;
     /** Decisions where the cap altered the choice (fail-safe swap). */
     std::size_t capLimitedDecisions = 0;
-    /** Measured-power-over-cap decisions (arbiter violation count). */
+    /** Measured-power-over-cap decisions; powercap.violations. */
     std::uint64_t capViolations = 0;
-    /** Arbiter re-split ticks over the run. */
+    /** Arbiter re-split ticks over the run; powercap.arbiter_ticks. */
     std::uint64_t arbiterTicks = 0;
     double wallSeconds = 0.0;
     double decisionsPerSecond = 0.0;
@@ -323,7 +326,8 @@ struct FleetResult
     std::uint64_t forestGeneration = 0;
     /** Sessions per hardware-model name (catalog name, resolved). */
     std::map<std::string, std::size_t> sessionsPerModel;
-    /** Completed runs that missed their deadline QoS, fleet-wide. */
+    /** Completed runs that missed their deadline QoS, fleet-wide;
+     *  serve.deadline_misses. */
     std::size_t deadlineMisses = 0;
 };
 
@@ -334,15 +338,21 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
 
 /**
  * Serialize a fleet trace as JSON lines with %.17g floats: equal traces
- * produce byte-identical text (the golden-trace contract). Degraded
- * (shed) decisions carry an extra "dg":1 key, capped decisions an
- * extra "cap" (plus "cl":1 when the cap altered the choice), records
- * of a non-default hardware model an extra "hw":"<name>", and a run's
- * last record an extra "dm":1 when its deadline QoS was missed;
- * records of a normal uncapped homogeneous paper-apu fleet serialize
- * exactly as they did before shedding, capping or the catalog existed,
- * which is what keeps the golden trace stable.
+ * produce byte-identical text (the golden-trace contract). Each line
+ * carries session "s", run "r", index "i", the kernel's static tag
+ * "t" (kernelTag, not the decision-path tag), configuration "c",
+ * kernel time "kt" (measuredTime), exposed overhead "oh"
+ * (exposedOverheadTime, not the charged overheadTime), energies
+ * "ce"/"ge" and evaluations "ev". Shed decisions (tag 'S') carry an
+ * extra "dg":1 key, capped decisions an extra "cap" (plus "cl":1 when
+ * the cap altered the choice), records of a non-default hardware model
+ * an extra "hw":"<name>", and a run's last record an extra "dm":1 when
+ * its deadline QoS was missed; records of a normal uncapped
+ * homogeneous paper-apu fleet serialize exactly as they did before
+ * shedding, capping or the catalog existed, which is what keeps the
+ * golden trace stable.
  */
-std::string serializeFleetTrace(const std::vector<DecisionRecord> &trace);
+std::string
+serializeFleetTrace(const std::vector<trace::DecisionRecord> &trace);
 
 } // namespace gpupm::serve

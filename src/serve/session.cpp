@@ -1,6 +1,5 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -78,8 +77,6 @@ Session::reset()
         _table);
     _governor = std::make_unique<mpc::MpcGovernor>(_predictor, _opts.mpc,
                                                    _model);
-    _governor->setDecisionCallback(
-        [this](const mpc::DecisionEvent &e) { _lastEvent = e; });
     if (_telemetry)
         _governor->setDecisionSink(_telemetry->decisionSink(), _id);
     _run = 0;
@@ -106,7 +103,7 @@ Session::beginRun()
     _current.records.reserve(_app.trace.size());
 }
 
-DecisionRecord
+trace::DecisionRecord
 Session::step(bool degraded)
 {
     GPUPM_ASSERT(!finished(), "step() on a finished session");
@@ -115,8 +112,6 @@ Session::step(bool degraded)
     if (_invocation == 0)
         beginRun();
 
-    // The body below mirrors Simulator::run for one invocation; see
-    // sim/simulator.cpp for the rationale of each charge.
     const std::size_t i = _invocation;
     const auto &inv = _app.trace[i];
 
@@ -130,7 +125,11 @@ Session::step(bool degraded)
     enforced_cap = _thermalCap.clamp(enforced_cap);
     _governor->setPowerCap(enforced_cap);
 
-    _lastEvent = {};
+    trace::DecisionRecord out;
+    out.session = _id;
+    out.run = _run;
+    out.index = i;
+    out.kernelTag = inv.tag;
     sim::Decision decision;
     if (degraded) {
         // Shed fast path: this model's fail-safe configuration at zero
@@ -139,100 +138,48 @@ Session::step(bool degraded)
         // feeding it fail-safe outcomes would poison its tracker
         // state for the post-recovery decisions.
         decision = {_model->failSafe(), 0.0};
-    } else if (_broker) {
-        InferenceBroker::DecisionScope scope(*_broker);
-        decision = _governor->decide(i);
+        out.tag = 'S';
     } else {
-        decision = _governor->decide(i);
+        if (_broker) {
+            InferenceBroker::DecisionScope scope(*_broker);
+            decision = _governor->decide(i);
+        } else {
+            decision = _governor->decide(i);
+        }
+        const trace::DecisionRecord &made = _governor->lastDecision();
+        out.tag = made.tag;
+        out.evaluations = made.evaluations;
+        out.capLimited = made.capLimited;
     }
-    GPUPM_ASSERT(decision.overheadTime >= 0.0,
-                 "negative decision overhead");
+    out.configIndex = hw::denseConfigIndex(decision.config);
 
-    sim::KernelRecord rec;
-    rec.index = i;
-    rec.tag = inv.tag;
-    rec.kernelName = inv.params.name;
-    rec.config = decision.config;
-
-    rec.cpuPhaseTime = inv.cpuPhaseSeconds;
-    rec.hiddenOverheadTime =
-        std::min(decision.overheadTime, rec.cpuPhaseTime);
-    rec.overheadTime = decision.overheadTime - rec.hiddenOverheadTime;
-
-    if (rec.cpuPhaseTime > 0.0) {
-        const auto phase = _apu.runHost(rec.cpuPhaseTime,
-                                        _model->maxPerformance());
-        rec.cpuPhaseCpuEnergy = phase.cpuEnergy;
-        rec.cpuPhaseGpuEnergy = phase.gpuEnergy;
-    }
-    if (decision.overheadTime > 0.0) {
-        const auto host = _apu.runHost(decision.overheadTime,
-                                       kernel::Apu::governorHostConfig());
-        rec.overheadCpuEnergy = host.cpuEnergy;
-        rec.overheadGpuEnergy = host.gpuEnergy;
-    }
-
-    if (_platformConfig && *_platformConfig != decision.config) {
-        const auto sw =
-            _apu.reconfigure(*_platformConfig, decision.config);
-        rec.transitionTime = sw.time;
-        rec.transitionCpuEnergy = sw.cpuEnergy;
-        rec.transitionGpuEnergy = sw.gpuEnergy;
-    }
-    _platformConfig = decision.config;
-
-    const auto m = _apu.run(inv.params, decision.config);
-    rec.kernelTime = m.time;
-    rec.kernelCpuEnergy = m.cpuEnergy;
-    rec.kernelGpuEnergy = m.gpuEnergy;
-    rec.instructions = m.instructions;
+    const sim::Observation obs = sim::executeInvocation(
+        _apu, *_model, _platformConfig, i, inv, decision, _current);
+    const sim::KernelRecord &rec = _current.records.back();
+    out.measuredTime = rec.kernelTime;
+    out.exposedOverheadTime = rec.overheadTime;
+    out.cpuEnergy = rec.cpuEnergy();
+    out.gpuEnergy = rec.gpuEnergy();
 
     if (!degraded) {
-        sim::Observation obs;
-        obs.index = i;
-        obs.tag = inv.tag;
-        obs.measurement = m;
-        obs.kernelTruth = &inv.params;
-        obs.nonKernelTime =
-            rec.overheadTime + rec.cpuPhaseTime + rec.transitionTime;
         _governor->observe(obs);
-    } else if (_telemetry) {
-        // The governor was bypassed, so provenance is emitted here:
-        // tag 'S' records that this invocation was shed to the
-        // fail-safe configuration with no candidate evaluation.
-        if (auto *sink = _telemetry->decisionSink()) {
-            trace::DecisionRecord dr;
-            dr.app = _app.name;
-            dr.session = _id;
-            dr.run = _run;
-            dr.index = i;
-            dr.tag = 'S';
-            dr.configIndex = hw::denseConfigIndex(decision.config);
-            dr.observed = true;
-            dr.measuredTime = m.time;
-            dr.measuredGpuPower =
-                m.time > 0.0 ? m.gpuEnergy / m.time : 0.0;
-            dr.measuredInstructions = m.instructions;
-            dr.nonKernelTime = rec.cpuPhaseTime + rec.transitionTime;
-            dr.targetThroughput = _target;
-            sink->record(std::move(dr));
-        }
+    } else if (auto *sink =
+                   _telemetry ? _telemetry->decisionSink() : nullptr) {
+        // The governor was bypassed, so this step's provenance is
+        // emitted here: tag 'S' records that the invocation was shed to
+        // the fail-safe configuration with no candidate evaluation. It
+        // is emitted before the cap is stamped on the record - the
+        // governor never saw that cap.
+        out.app = _app.name;
+        out.observed = true;
+        out.measuredGpuPower =
+            rec.kernelTime > 0.0 ? rec.kernelGpuEnergy / rec.kernelTime
+                                 : 0.0;
+        out.measuredInstructions = rec.instructions;
+        out.nonKernelTime = obs.nonKernelTime;
+        out.targetThroughput = _target;
+        sink->record(trace::DecisionRecord(out));
     }
-
-    DecisionRecord out;
-    out.session = _id;
-    out.run = _run;
-    out.index = i;
-    out.tag = rec.tag;
-    out.configIndex = hw::denseConfigIndex(rec.config);
-    out.kernelTime = rec.kernelTime;
-    out.overheadTime = rec.overheadTime;
-    out.cpuEnergy = rec.kernelCpuEnergy + rec.overheadCpuEnergy +
-                    rec.cpuPhaseCpuEnergy + rec.transitionCpuEnergy;
-    out.gpuEnergy = rec.kernelGpuEnergy + rec.overheadGpuEnergy +
-                    rec.cpuPhaseGpuEnergy + rec.transitionGpuEnergy;
-    out.evaluations = _lastEvent.evaluations;
-    out.degraded = degraded;
     if (_model->name() != hw::paperApuName)
         out.hwModel = _model->name();
 
@@ -243,26 +190,13 @@ Session::step(bool degraded)
     // stream, which is what keeps capped fleet runs deterministic.
     const Seconds wall = rec.kernelTime + rec.cpuPhaseTime +
                          rec.overheadTime + rec.transitionTime;
-    out.measuredPower =
+    out.chipPower =
         wall > 0.0 ? (out.cpuEnergy + out.gpuEnergy) / wall : 0.0;
-    if (std::isfinite(enforced_cap)) {
-        out.cap = enforced_cap;
-        out.capLimited = !degraded && _lastEvent.capLimited;
-    }
+    if (std::isfinite(enforced_cap))
+        out.powerCap = enforced_cap;
     if (_capSlot != nullptr)
-        _arbiter->report(_capSlot, out.measuredPower, enforced_cap);
+        _arbiter->report(_capSlot, out.chipPower, enforced_cap);
     _thermalCap.update(_apu.thermal().temperature());
-
-    _current.kernelTime += rec.kernelTime;
-    _current.overheadTime += rec.overheadTime;
-    _current.cpuPhaseTime += rec.cpuPhaseTime;
-    _current.transitionTime += rec.transitionTime;
-    _current.cpuEnergy += out.cpuEnergy;
-    _current.gpuEnergy += out.gpuEnergy;
-    _current.overheadEnergy +=
-        rec.overheadCpuEnergy + rec.overheadGpuEnergy;
-    _current.instructions += rec.instructions;
-    _current.records.push_back(std::move(rec));
 
     ++_decisions;
     ++_invocation;
@@ -273,7 +207,6 @@ Session::step(bool degraded)
         if (_opts.mpc.qos.kind == mpc::QosSpec::Kind::Deadline &&
             _current.totalTime() >
                 _baselineTime * _opts.mpc.qos.deadlineFactor) {
-            ++_deadlineMisses;
             out.deadlineMissed = true;
             if (_telemetry)
                 _telemetry->counter("serve.deadline_misses").add(1);

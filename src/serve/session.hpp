@@ -16,11 +16,15 @@
  * sessions run - the foundation of the deterministic fleet mode.
  *
  * step() executes exactly one invocation of the Simulator::run loop
- * body - decide, charge host phase and overhead, reconfigure, run the
- * kernel, observe - so a server can interleave many sessions at
- * single-decision granularity. A session plays the paper's repeated-
- * execution schedule: one PPK profiling run, then optimizedRuns MPC
- * runs, with the same fresh-APU-per-run semantics as Simulator::run.
+ * body - decide, then sim::executeInvocation (charge host phase and
+ * overhead, reconfigure, run the kernel), then observe - so a server
+ * can interleave many sessions at single-decision granularity. Each
+ * step yields one trace::DecisionRecord, the unit of the fleet trace;
+ * the governor's own record of the decision supplies its path tag,
+ * evaluation count and cap outcome. A session plays the paper's
+ * repeated-execution schedule: one PPK profiling run, then
+ * optimizedRuns MPC runs, with the same fresh-APU-per-run semantics as
+ * Simulator::run.
  *
  * Not thread-safe: the server checks a session out to one worker at a
  * time.
@@ -39,6 +43,7 @@
 #include "powercap/thermal_governor.hpp"
 #include "serve/session_predictor.hpp"
 #include "sim/simulator.hpp"
+#include "trace/decision.hpp"
 #include "workload/trace.hpp"
 
 namespace gpupm::serve {
@@ -64,38 +69,6 @@ struct SessionOptions
      * session (from the Open frame's model name over the wire).
      */
     hw::HardwareModelPtr model;
-};
-
-/** One decision's outcome, the unit of the fleet trace. */
-struct DecisionRecord
-{
-    SessionId session = 0;
-    std::size_t run = 0;   ///< 0 = profiling, 1.. = optimized.
-    std::size_t index = 0; ///< Invocation index within the run.
-    char tag = 'A';
-    std::size_t configIndex = 0; ///< hw::denseConfigIndex of the choice.
-    Seconds kernelTime = 0.0;
-    Seconds overheadTime = 0.0; ///< Exposed decision latency.
-    Joules cpuEnergy = 0.0;     ///< All components of this invocation.
-    Joules gpuEnergy = 0.0;
-    /** Predictor evaluations the decision charged (DecisionEvent). */
-    std::size_t evaluations = 0;
-    /** Shed fast path: the governor was bypassed for this step. */
-    bool degraded = false;
-    /** Power cap enforced for this step; < 0 when uncapped. */
-    Watts cap = -1.0;
-    /** The cap altered the decision (fail-safe substitution). */
-    bool capLimited = false;
-    /** Measured average chip power over this step's wall time. */
-    Watts measuredPower = 0.0;
-    /**
-     * Hardware-model name; empty for the default "paper-apu" (records
-     * of a homogeneous default fleet serialize exactly as before the
-     * catalog existed).
-     */
-    std::string hwModel;
-    /** Set on a run's last record when its deadline QoS was missed. */
-    bool deadlineMissed = false;
 };
 
 class Session
@@ -140,9 +113,6 @@ class Session
     /** The hardware model this session runs on. */
     const hw::HardwareModelPtr &model() const { return _model; }
 
-    /** Completed runs that exceeded the deadline QoS allowance. */
-    std::size_t deadlineMisses() const { return _deadlineMisses; }
-
     /** Decisions per run (the trace length). */
     std::size_t runLength() const { return _app.trace.size(); }
     /** Total runs the session plays (1 profiling + optimizedRuns). */
@@ -156,7 +126,10 @@ class Session
 
     /**
      * Execute one kernel invocation (decide / charge / run / observe);
-     * fatal when already finished.
+     * fatal when already finished. Returns the step's fleet-trace
+     * record: path tag, chosen configuration, evaluations and cap
+     * outcome from the governor's record, kernel tag, times, energies
+     * and chip power from the executed invocation.
      *
      * @param degraded Overload fast path: skip the MPC governor
      *        entirely and run the invocation at the paper's fail-safe
@@ -164,10 +137,12 @@ class Session
      *        overhead. The kernel still executes and all energy/time
      *        charges still accrue; the governor neither decides nor
      *        observes, so a shard under shed pressure drains its
-     *        queue at near-zero decision cost. Degraded steps are
-     *        marked in the returned record and traced with tag 'S'.
+     *        queue at near-zero decision cost. Degraded steps carry
+     *        tag 'S'; with a provenance sink attached, the same record
+     *        (before the session cap is stamped on it) goes to the
+     *        sink, since no governor observes the step.
      */
-    DecisionRecord step(bool degraded = false);
+    trace::DecisionRecord step(bool degraded = false);
 
     /** Results of completed runs, in run order. */
     const std::vector<sim::RunResult> &completedRuns() const
@@ -213,7 +188,6 @@ class Session
     Throughput _target = 0.0;
     /** Turbo-baseline wall time (the deadline QoS reference). */
     Seconds _baselineTime = 0.0;
-    std::size_t _deadlineMisses = 0;
     Watts _baselinePower = 0.0;
     powercap::FleetCapArbiter *_arbiter = nullptr;
     powercap::SessionCap *_capSlot = nullptr;
@@ -222,7 +196,6 @@ class Session
     std::unique_ptr<mpc::MpcGovernor> _governor;
     kernel::Apu _apu;
     std::optional<hw::HwConfig> _platformConfig;
-    mpc::DecisionEvent _lastEvent;
 
     std::size_t _run = 0;
     std::size_t _invocation = 0;

@@ -325,9 +325,6 @@ encodeStats(std::vector<std::uint8_t> &out, const StatsMsg &m)
         putU64(f.body(), value);
     }
     putF64(f.body(), m.fleetBudgetWatts);
-    putU64(f.body(), m.capViolations);
-    putU64(f.body(), m.arbiterTicks);
-    putU64(f.body(), m.deadlineMisses);
 }
 
 std::optional<StatsMsg>
@@ -350,9 +347,6 @@ decodeStats(std::span<const std::uint8_t> p)
         m.entries.emplace_back(std::move(key), value);
     }
     m.fleetBudgetWatts = c.f64();
-    m.capViolations = c.u64();
-    m.arbiterTicks = c.u64();
-    m.deadlineMisses = c.u64();
     if (!c.done())
         return std::nullopt;
     return m;

@@ -22,9 +22,7 @@
  *                               degraded, times, energies, evals)
  *                    | Reject(session, reason)
  *   client -> server   StatsReq()
- *   server -> client   Stats(key/value counters, fleet powercap
- *                            state: budget watts, cap violations,
- *                            arbiter ticks)
+ *   server -> client   Stats(key/value counters, fleet budget watts)
  *   server -> client   Error(message)   (protocol violations; the
  *                                        server closes after sending)
  *
@@ -148,20 +146,24 @@ struct RejectMsg
     RejectReason reason = RejectReason::UnknownSession;
 };
 
+/**
+ * The server's telemetry registry as key/value entries, then one f64
+ * tail. Counters (powercap.violations, powercap.arbiter_ticks,
+ * serve.deadline_misses, ...) travel only as entries; the tail holds
+ * the fleet budget, a setting rather than a counter.
+ *
+ * Layout change without a version bump: Stats used to end with three
+ * more u64s (cap violations, arbiter ticks, deadline misses) after the
+ * budget. Only Open is versioned, so the layouts are told apart by
+ * length alone: each decoder rejects the other's payload (trailing or
+ * missing bytes), and a mismatched client/server pair fails closed
+ * instead of misreading counters.
+ */
 struct StatsMsg
 {
     std::vector<std::pair<std::string, std::uint64_t>> entries;
-    // Fleet powercap state, appended after the counter list (a wire
-    // format change: pre-powercap decoders reject the longer payload,
-    // which is fine - client and server ship together).
     /** Configured fleet budget in watts; 0 = no arbiter. */
     double fleetBudgetWatts = 0.0;
-    /** Measured-power-over-cap decisions across the fleet. */
-    std::uint64_t capViolations = 0;
-    /** Arbiter re-split ticks since server start. */
-    std::uint64_t arbiterTicks = 0;
-    /** Deadline-QoS runs that overran their slack, fleet-wide (v2). */
-    std::uint64_t deadlineMisses = 0;
 };
 
 struct ErrorMsg

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "hw/model.hpp"
@@ -46,6 +47,22 @@ struct KernelRecord
     Joules transitionCpuEnergy = 0.0;
     Joules transitionGpuEnergy = 0.0;
     InstCount instructions = 0.0;
+
+    /** CPU-plane energy of all components of the invocation. */
+    Joules
+    cpuEnergy() const
+    {
+        return kernelCpuEnergy + overheadCpuEnergy + cpuPhaseCpuEnergy +
+               transitionCpuEnergy;
+    }
+
+    /** GPU-plane energy of all components of the invocation. */
+    Joules
+    gpuEnergy() const
+    {
+        return kernelGpuEnergy + overheadGpuEnergy + cpuPhaseGpuEnergy +
+               transitionGpuEnergy;
+    }
 
     /** Kernel-only throughput (insts/s), ignoring decision overhead. */
     Throughput
@@ -88,6 +105,26 @@ struct RunResult
         return totalTime() > 0.0 ? instructions / totalTime() : 0.0;
     }
 };
+
+/**
+ * Execute invocation @p index of a run under @p decision on @p apu and
+ * append its record to @p run, summing its times and energies into the
+ * run totals. This is the one copy of the per-invocation charges,
+ * shared by Simulator::run and the fleet's serve::Session::step.
+ *
+ * @param model Hardware model of @p apu (the host phase runs at its
+ *        maximum-performance configuration).
+ * @param platform DVFS configuration applied before this invocation
+ *        (none at the start of a run: the launch configuration is
+ *        applied free); updated to the decided configuration.
+ * @return What the governor observes about the invocation.
+ */
+Observation executeInvocation(kernel::Apu &apu,
+                              const hw::HardwareModel &model,
+                              std::optional<hw::HwConfig> &platform,
+                              std::size_t index,
+                              const workload::KernelInvocation &inv,
+                              const Decision &decision, RunResult &run);
 
 /**
  * Trace-driven closed-loop simulator.

@@ -178,6 +178,14 @@ struct Snapshot
 {
     std::map<std::string, std::uint64_t> counters;
 
+    /** Counter @p name; 0 when it was never bumped. */
+    std::uint64_t
+    counter(const std::string &name) const
+    {
+        const auto it = counters.find(name);
+        return it != counters.end() ? it->second : 0;
+    }
+
     struct HistogramSummary
     {
         std::uint64_t count = 0;

@@ -1,17 +1,27 @@
 /**
  * @file
- * Decision-provenance records: the "why" behind every MPC decision.
+ * Decision records: one record per governed kernel invocation.
  *
  * Span tracing (trace.hpp) answers *where time went*; this module
- * answers *why the governor chose what it chose*. For each decision the
- * governor emits one DecisionRecord carrying the inputs it saw (kernel
- * signature, time headroom from Eqs. 4/5, horizon length), the search
- * it ran (every candidate configuration the hill-climb evaluated, with
- * predicted time/energy and whether the evaluation was served from the
- * per-decision memo), the choice it made, and - once the kernel has
- * executed - the measured outcome and the prediction error. This is the
- * per-decision predicted-vs-measured introspection that control-
- * theoretic governors lean on for diagnosis.
+ * answers *why the governor chose what it chose* and *what it cost*.
+ * Every decision is described by one DecisionRecord carrying the inputs
+ * the governor saw (kernel signature, time headroom from Eqs. 4/5,
+ * horizon length), the search it ran (every candidate configuration
+ * the hill-climb evaluated, with predicted time/energy and whether the
+ * evaluation was served from the per-decision memo), the choice it
+ * made, and - once the kernel has executed - the measured outcome and
+ * the prediction error. This is the per-decision predicted-vs-measured
+ * introspection that control-theoretic governors lean on for
+ * diagnosis.
+ *
+ * The same record is the unit of the fleet trace (serve::Session::step
+ * returns one per step): the fleet fields below it - kernel tag,
+ * exposed overhead, energies, chip power, hardware model, deadline
+ * miss - are filled by the session, while the provenance fields are
+ * filled by the MPC governor. Two serializers pin two byte formats:
+ * writeDecisionJsonl (provenance, jsonl_export.hpp) and
+ * serve::serializeFleetTrace (fleet trace); each writes only its own
+ * fields.
  *
  * Determinism contract: sinks are observers. Nothing recorded here may
  * feed back into decision logic, so golden decision traces are
@@ -51,7 +61,7 @@ struct CandidateEval
     }
 };
 
-/** Full provenance of one governor decision. */
+/** One governor decision: provenance plus the step's outcome. */
 struct DecisionRecord
 {
     std::string app;
@@ -62,10 +72,23 @@ struct DecisionRecord
     /** Invocation index within the run. */
     std::size_t index = 0;
     /** Decision path: 'P' PPK profiling, 'W' window hill-climb,
-     *  'F' fallback exhaustive scan, 'B' budget-out config reuse. */
+     *  'F' fallback exhaustive scan, 'B' budget-out config reuse,
+     *  'S' shed to the fail-safe configuration (governor bypassed). */
     char tag = '?';
+    /** Static tag of the executed kernel (workload::KernelInvocation;
+     *  the fleet trace's "t"). */
+    char kernelTag = 'A';
     /** Decided on the PPK profiling path (no MPC optimization). */
     bool profiling = false;
+    bool hasHeadroom = false;
+    /** The cap altered the decision: nothing fit under it and the
+     *  minimum-power fail-safe was substituted, or the race
+     *  configuration was suppressed. */
+    bool capLimited = false;
+    bool observed = false;
+    /** Set on a run's last fleet record when its deadline QoS was
+     *  missed. */
+    bool deadlineMissed = false;
     /** FNV hash of the observed kernel::Signature (the log-binned
      *  counter identity the pattern extractor keys on); 0 until the
      *  decision is observed. */
@@ -77,7 +100,6 @@ struct DecisionRecord
     /** Eq. 4/5 time budget for the decided kernel; meaningful only
      *  when hasHeadroom. */
     Seconds headroom = 0.0;
-    bool hasHeadroom = false;
 
     // What it did.
     /** hw::denseConfigIndex of the chosen configuration. */
@@ -86,22 +108,22 @@ struct DecisionRecord
     Seconds predictedTime = -1.0;
     /** Predicted chip energy of the choice; < 0 when no model ran. */
     Joules predictedEnergy = -1.0;
+    /** Evaluations charged by the overhead model for this decision. */
     std::size_t evaluations = 0;
+    /** Distinct predictor evaluations after memoization. */
     std::size_t uniqueEvaluations = 0;
+    /** Decision latency charged to the run (hidden or not). */
     Seconds overheadTime = 0.0;
     /** Session power cap active for this decision; < 0 = uncapped
      *  (the JSONL exporter omits the field then). */
     Watts powerCap = -1.0;
-    /** The cap altered the decision: nothing fit under it and the
-     *  minimum-power fail-safe was substituted, or the race
-     *  configuration was suppressed. */
-    bool capLimited = false;
     /** Candidates scored by the hill-climb for the decided kernel
-     *  (empty on exhaustive-scan and budget-out paths). */
+     *  (collected only while a sink is attached; empty on exhaustive-
+     *  scan and budget-out paths). */
     std::vector<CandidateEval> candidates;
 
     // What happened.
-    bool observed = false;
+    /** Kernel time of the invocation (the fleet trace's "kt"). */
     Seconds measuredTime = 0.0;
     Watts measuredGpuPower = 0.0;
     /** 100 * (predicted - measured) / measured; 0 when unavailable. */
@@ -121,6 +143,20 @@ struct DecisionRecord
     Seconds nonKernelTime = 0.0;
     /** The run's Eq. 4 performance target (baseline throughput). */
     Throughput targetThroughput = 0.0;
+
+    // Fleet-trace outcome of the step (serve::Session::step).
+    /** Decision latency left on the critical path after the CPU phase
+     *  hid what it could (the fleet trace's "oh"). */
+    Seconds exposedOverheadTime = 0.0;
+    /** All components of this invocation, per plane. */
+    Joules cpuEnergy = 0.0;
+    Joules gpuEnergy = 0.0;
+    /** Average chip power over the step's wall time. */
+    Watts chipPower = 0.0;
+    /** Hardware-model name; empty for the default "paper-apu" (records
+     *  of a homogeneous default fleet serialize exactly as before the
+     *  catalog existed). */
+    std::string hwModel;
 };
 
 /**

@@ -1,10 +1,12 @@
 #include "trace/jsonl_export.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "common/logging.hpp"
+#include "hw/config.hpp"
 #include "trace/json.hpp"
 
 namespace gpupm::trace {
@@ -49,6 +51,31 @@ numberField(const json::Value &obj, const char *key)
     const json::Value *v = obj.find(key);
     GPUPM_ASSERT(v && v->isNumber(), "decision line missing number field");
     return v->asNumber();
+}
+
+/**
+ * A count or index field. Dumps are user input (gpupm replay --trace),
+ * so a value that is not an integer in [0, @p limit) is fatal rather
+ * than reaching an undefined double-to-integer cast or an out-of-range
+ * configuration.
+ */
+std::uint64_t
+integerField(const json::Value &obj, const char *key,
+             double limit = 0x1p64)
+{
+    const double v = numberField(obj, key);
+    if (!(v >= 0.0 && v < limit && std::trunc(v) == v))
+        GPUPM_FATAL("decision field '", key, "' is ", v,
+                    ", not an integer in [0, ", limit, ")");
+    return static_cast<std::uint64_t>(v);
+}
+
+/** A hw::denseConfigIndex field. */
+std::size_t
+configField(const json::Value &obj)
+{
+    return integerField(obj, "config",
+                        static_cast<double>(hw::denseConfigCount));
 }
 
 } // namespace
@@ -124,10 +151,9 @@ readDecisionJsonl(std::istream &is)
         const json::Value *app = doc->find("app");
         GPUPM_ASSERT(app && app->isString(), "decision line missing app");
         r.app = app->asString();
-        r.session = static_cast<std::uint64_t>(
-            numberField(*doc, "session"));
-        r.run = static_cast<std::size_t>(numberField(*doc, "run"));
-        r.index = static_cast<std::size_t>(numberField(*doc, "index"));
+        r.session = integerField(*doc, "session");
+        r.run = integerField(*doc, "run");
+        r.index = integerField(*doc, "index");
         const json::Value *tag = doc->find("tag");
         GPUPM_ASSERT(tag && tag->isString() && !tag->asString().empty(),
                      "decision line missing tag");
@@ -140,22 +166,18 @@ readDecisionJsonl(std::istream &is)
         GPUPM_ASSERT(sig && sig->isString(),
                      "decision line missing signature");
         r.kernelSignature = parseHex64(sig->asString());
-        r.horizon = static_cast<std::size_t>(
-            numberField(*doc, "horizon"));
+        r.horizon = integerField(*doc, "horizon");
         const json::Value *headroom = doc->find("headroom");
         GPUPM_ASSERT(headroom, "decision line missing headroom");
         if (headroom->isNumber()) {
             r.headroom = headroom->asNumber();
             r.hasHeadroom = true;
         }
-        r.configIndex = static_cast<std::size_t>(
-            numberField(*doc, "config"));
+        r.configIndex = configField(*doc);
         r.predictedTime = numberField(*doc, "predictedTime");
         r.predictedEnergy = numberField(*doc, "predictedEnergy");
-        r.evaluations = static_cast<std::size_t>(
-            numberField(*doc, "evaluations"));
-        r.uniqueEvaluations = static_cast<std::size_t>(
-            numberField(*doc, "uniqueEvaluations"));
+        r.evaluations = integerField(*doc, "evaluations");
+        r.uniqueEvaluations = integerField(*doc, "uniqueEvaluations");
         r.overheadTime = numberField(*doc, "overheadTime");
         if (const json::Value *cap = doc->find("cap")) {
             GPUPM_ASSERT(cap->isNumber(), "cap field not a number");
@@ -170,8 +192,7 @@ readDecisionJsonl(std::istream &is)
                      "decision line missing candidates");
         for (const json::Value &cv : cands->asArray()) {
             CandidateEval c;
-            c.configIndex = static_cast<std::uint32_t>(
-                numberField(cv, "config"));
+            c.configIndex = static_cast<std::uint32_t>(configField(cv));
             c.predictedTime = numberField(cv, "time");
             c.predictedEnergy = numberField(cv, "energy");
             const json::Value *memo = cv.find("memo");

@@ -23,14 +23,20 @@
 
 namespace gpupm::trace {
 
-/** Write one JSON object per record, in input order. */
+/**
+ * Write one JSON object per record, in input order. Only provenance
+ * fields are written; the fleet-trace fields (kernelTag,
+ * exposedOverheadTime, energies, chipPower, hwModel, deadlineMissed)
+ * belong to serve::serializeFleetTrace.
+ */
 void writeDecisionJsonl(std::ostream &os,
                         std::span<const DecisionRecord> records);
 
 /**
  * Parse a decision dump written by writeDecisionJsonl. Blank lines are
- * skipped; a malformed line is fatal (assert) - dumps are
- * machine-generated.
+ * skipped; a malformed line is fatal. Dumps also arrive as user input
+ * (gpupm replay --trace), so the count and index fields must be
+ * integers in range and every config a valid hw::denseConfigIndex.
  */
 std::vector<DecisionRecord> readDecisionJsonl(std::istream &is);
 

@@ -30,8 +30,13 @@
 #include <tuple>
 #include <vector>
 
+#include "ml/predictor.hpp"
 #include "ml/trainer.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
+#include "telemetry/telemetry.hpp"
+#include "trace/jsonl_export.hpp"
+#include "workload/benchmarks.hpp"
 
 #ifndef GPUPM_GOLDEN_DIR
 #error "tests/CMakeLists.txt must define GPUPM_GOLDEN_DIR"
@@ -244,7 +249,7 @@ TEST(FleetDeterminism, PerTenantStreamsAreShardAndJobInvariant)
     // session's own decision stream is byte-identical no matter how
     // the fleet was sharded or how many workers drained it.
     const auto byTenant = [](const FleetResult &result) {
-        std::map<SessionId, std::vector<DecisionRecord>> streams;
+        std::map<SessionId, std::vector<trace::DecisionRecord>> streams;
         for (const auto &rec : result.trace)
             streams[rec.session].push_back(rec);
         return streams;
@@ -302,7 +307,7 @@ TEST(FleetDeterminism, ForcedSheddingMarksDegradedDecisions)
     EXPECT_GT(result.degradedDecisions, 0u);
     std::size_t marked = 0;
     for (const auto &rec : result.trace)
-        marked += rec.degraded ? 1u : 0u;
+        marked += rec.tag == 'S' ? 1u : 0u;
     EXPECT_EQ(marked, result.degradedDecisions);
     const auto &c = result.metrics.counters;
     ASSERT_TRUE(c.count("serve.shed_degraded_decisions"));
@@ -365,15 +370,15 @@ TEST(FleetDeterminism, CappedFleetLowersPowerAndAccountsViolations)
 
     ASSERT_EQ(capped.trace.size(), uncapped.trace.size());
     const auto meanPower = [](const FleetResult &result) {
-        // measuredPower = step energy / step wall time, so wall time
+        // chipPower = step energy / step wall time, so wall time
         // is recoverable per record and the fleet mean is energy-true.
         double energy = 0.0;
         double time = 0.0;
         for (const auto &rec : result.trace) {
             const double e = rec.cpuEnergy + rec.gpuEnergy;
             energy += e;
-            if (rec.measuredPower > 0.0)
-                time += e / rec.measuredPower;
+            if (rec.chipPower > 0.0)
+                time += e / rec.chipPower;
         }
         return energy / time;
     };
@@ -523,6 +528,101 @@ TEST(FleetDeterminism, TraceIsOrderedAndComplete)
     const auto &lat =
         result.metrics.histograms.at("serve.decision_latency_ns");
     EXPECT_EQ(lat.count, result.decisions);
+}
+
+constexpr char kDecisionsGoldenPath[] =
+    GPUPM_GOLDEN_DIR "/decisions_golden.jsonl";
+
+/**
+ * The provenance dump of
+ *
+ *     gpupm fleet --predictor perfect --bench Spmv,NBody --sessions 2
+ *         --runs 1 --power-cap 40 --cap-window 4 --deterministic
+ *         --trace-decisions decisions_golden.jsonl
+ *
+ * at the given (shards, jobs): a capped fleet whose records carry cap
+ * fields, cap-limited marks and every decision path's candidates.
+ */
+std::string
+provenanceDump(std::size_t shards, std::size_t jobs)
+{
+    trace::DecisionLog log;
+    FleetOptions opts;
+    opts.server.shards = shards;
+    opts.server.jobs = jobs;
+    opts.server.powercap.budgetWatts = 40.0;
+    opts.server.powercap.window = 4;
+    opts.apps = {"Spmv", "NBody"};
+    opts.sessionCount = 2;
+    opts.session.optimizedRuns = 1;
+    opts.decisionSink = &log;
+    runFleet(std::make_shared<const ml::GroundTruthPredictor>(
+                 hw::paperApu()->params()),
+             opts);
+    auto records = log.take();
+    trace::sortDecisions(records);
+    std::ostringstream os;
+    trace::writeDecisionJsonl(os, records);
+    return os.str();
+}
+
+TEST(DecisionProvenance, FleetDumpMatchesGoldenAtAnyShardsAndJobs)
+{
+    const std::string current = provenanceDump(1, 1);
+
+    if (std::getenv("GPUPM_REGEN_GOLDEN") != nullptr) {
+        std::ofstream os(kDecisionsGoldenPath, std::ios::binary);
+        ASSERT_TRUE(os) << "cannot write " << kDecisionsGoldenPath;
+        os << current;
+        GTEST_SKIP() << "golden dump regenerated at "
+                     << kDecisionsGoldenPath;
+    }
+
+    std::ifstream is(kDecisionsGoldenPath, std::ios::binary);
+    ASSERT_TRUE(is) << "missing golden dump " << kDecisionsGoldenPath
+                    << "; regenerate with GPUPM_REGEN_GOLDEN=1";
+    std::ostringstream golden;
+    golden << is.rdbuf();
+    EXPECT_EQ(golden.str(), current)
+        << "decision provenance drifted from the golden dump";
+    EXPECT_EQ(current, provenanceDump(1, 4));
+    EXPECT_EQ(current, provenanceDump(3, 4));
+}
+
+TEST(DecisionProvenance, ShedStepUnderCapEmitsOneUncappedShedRecord)
+{
+    telemetry::Registry registry;
+    trace::DecisionLog log;
+    registry.setDecisionSink(&log);
+    powercap::ArbiterOptions aopts;
+    aopts.budgetWatts = 20.0;
+    powercap::FleetCapArbiter arbiter(aopts, &registry);
+    SessionOptions sopts;
+    sopts.optimizedRuns = 1;
+    Session session(7, workload::makeBenchmark("Spmv"),
+                    std::make_shared<const ml::GroundTruthPredictor>(
+                        hw::paperApu()->params()),
+                    nullptr, sopts, hw::paperApu(), &registry, nullptr,
+                    &arbiter);
+
+    const auto rec = session.step(/*degraded=*/true);
+
+    // Provenance: exactly one 'S' record, and its JSONL line carries no
+    // cap - the governor never saw the cap on a shed step.
+    auto records = log.take();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].tag, 'S');
+    EXPECT_EQ(records[0].session, 7u);
+    std::ostringstream jsonl;
+    trace::writeDecisionJsonl(jsonl, records);
+    EXPECT_EQ(jsonl.str().find("\"cap\""), std::string::npos)
+        << jsonl.str();
+
+    // Fleet trace: the same step is marked degraded and carries the
+    // cap the session enforced.
+    const std::string line = serializeFleetTrace({rec});
+    EXPECT_NE(line.find("\"dg\":1"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"cap\":"), std::string::npos) << line;
 }
 
 } // namespace

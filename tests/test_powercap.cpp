@@ -35,6 +35,13 @@ tinyOptions()
     return opts;
 }
 
+/** Arbiter counter @p name, read from its registry's snapshot. */
+std::uint64_t
+counted(const FleetCapArbiter &arbiter, const char *name)
+{
+    return arbiter.registry().snapshot().counter(name);
+}
+
 /** Feed one full violation window of a constant measured power. */
 void
 feedWindow(FleetCapArbiter &arbiter, SessionCap *slot, Watts measured,
@@ -143,7 +150,7 @@ TEST(FleetCapArbiter, RebalanceIsIdempotentInDeterministicMode)
         EXPECT_DOUBLE_EQ(a->share(), share_a);
         EXPECT_DOUBLE_EQ(b->share(), share_b);
     }
-    EXPECT_EQ(arbiter.ticks(), 4u);
+    EXPECT_EQ(counted(arbiter, "powercap.arbiter_ticks"), 4u);
 }
 
 TEST(FleetCapArbiter, LiveUsageResplitsFromRollingMeasuredPower)
@@ -176,11 +183,11 @@ TEST(FleetCapArbiter, ThrottleEntersAfterSustainedOverCapWindows)
     feedWindow(arbiter, slot, share + 20.0, share);
     // One over-cap window is not enough to throttle.
     EXPECT_DOUBLE_EQ(slot->cap(), share);
-    EXPECT_EQ(arbiter.throttleEnters(), 0u);
+    EXPECT_EQ(counted(arbiter, "powercap.throttle_enters"), 0u);
     feedWindow(arbiter, slot, share + 20.0, share);
     // Second consecutive over-cap window tightens by backoffFraction.
     EXPECT_DOUBLE_EQ(slot->cap(), share * 0.85);
-    EXPECT_EQ(arbiter.throttleEnters(), 1u);
+    EXPECT_EQ(counted(arbiter, "powercap.throttle_enters"), 1u);
 }
 
 TEST(FleetCapArbiter, ThrottleRelaxesAfterRecoveryWindows)
@@ -201,7 +208,7 @@ TEST(FleetCapArbiter, ThrottleRelaxesAfterRecoveryWindows)
     // Two consecutive calm windows relax one step, fully recovering
     // the single tighten step.
     EXPECT_DOUBLE_EQ(slot->cap(), share);
-    EXPECT_EQ(arbiter.throttleExits(), 1u);
+    EXPECT_EQ(counted(arbiter, "powercap.throttle_exits"), 1u);
 }
 
 TEST(FleetCapArbiter, HysteresisGapResetsTheCalmStreak)
@@ -224,7 +231,7 @@ TEST(FleetCapArbiter, HysteresisGapResetsTheCalmStreak)
         feedWindow(arbiter, slot, in_gap, throttled);
         EXPECT_DOUBLE_EQ(slot->cap(), throttled);
     }
-    EXPECT_EQ(arbiter.throttleExits(), 0u);
+    EXPECT_EQ(counted(arbiter, "powercap.throttle_exits"), 0u);
 }
 
 TEST(FleetCapArbiter, ThrottleSaturatesAtTheFloor)
@@ -257,7 +264,8 @@ TEST(FleetCapArbiter, CountsViolationsAndExportsCounters)
     arbiter.report(slot, cap + 1.0, cap); // violation
     arbiter.report(slot, cap - 1.0, cap); // not a violation
     arbiter.report(slot, cap, cap);       // boundary: not a violation
-    EXPECT_EQ(arbiter.violations(), 1u);
+    // The counter lives in the registry passed in, nowhere else.
+    EXPECT_EQ(&arbiter.registry(), &registry);
     const auto snap = registry.snapshot();
     const auto it = snap.counters.find("powercap.violations");
     ASSERT_NE(it, snap.counters.end());
@@ -272,7 +280,8 @@ TEST(FleetCapArbiter, OnDecisionTicksEveryPeriod)
     (void)arbiter.registerSession(1, 50.0);
     for (int i = 0; i < 23; ++i)
         arbiter.onDecision();
-    EXPECT_EQ(arbiter.ticks(), 2u); // at decisions 8 and 16
+    // At decisions 8 and 16.
+    EXPECT_EQ(counted(arbiter, "powercap.arbiter_ticks"), 2u);
 }
 
 TEST(FleetCapArbiter, UnregisterLeavesSurvivorsUntouched)

@@ -185,10 +185,10 @@ TEST(FleetServer, ProcessesSubmittedRequests)
     const auto id =
         server.createSession(tinyApp(20), fastSession());
 
-    std::promise<DecisionRecord> done;
+    std::promise<trace::DecisionRecord> done;
     auto fut = done.get_future();
     ASSERT_TRUE(server.submit(
-        {id, [&](SessionId sid, const DecisionRecord *rec) {
+        {id, [&](SessionId sid, const trace::DecisionRecord *rec) {
              ASSERT_NE(rec, nullptr);
              EXPECT_EQ(sid, id);
              done.set_value(*rec);
@@ -197,7 +197,7 @@ TEST(FleetServer, ProcessesSubmittedRequests)
     EXPECT_EQ(rec.session, id);
     EXPECT_EQ(rec.run, 0u);   // first step of the profiling run
     EXPECT_EQ(rec.index, 0u);
-    EXPECT_GT(rec.kernelTime, 0.0);
+    EXPECT_GT(rec.measuredTime, 0.0);
 
     server.stop();
     EXPECT_EQ(server.metrics().counters.at("serve.decisions"), 1u);
@@ -231,7 +231,7 @@ TEST(FleetServer, FullQueueRejectsTrySubmitWhileBlockingSubmitWaits)
     std::promise<void> parked, release;
     auto release_fut = release.get_future().share();
     ASSERT_TRUE(server.submit(
-        {id, [&, release_fut](SessionId, const DecisionRecord *) {
+        {id, [&, release_fut](SessionId, const trace::DecisionRecord *) {
              parked.set_value();
              release_fut.wait();
          }}));
@@ -256,7 +256,7 @@ TEST(FleetServer, EvictedSessionYieldsNullRecord)
 
     std::promise<bool> lost;
     ASSERT_TRUE(server.submit(
-        {id, [&](SessionId sid, const DecisionRecord *rec) {
+        {id, [&](SessionId sid, const trace::DecisionRecord *rec) {
              EXPECT_EQ(sid, id);
              lost.set_value(rec == nullptr);
          }}));
@@ -319,7 +319,7 @@ TEST(FleetServerSharded, CrossShardStepsAllCallBack)
     for (int round = 0; round < 8; ++round) {
         for (const auto id : ids) {
             if (server.submit({id,
-                               [&](SessionId, const DecisionRecord *) {
+                               [&](SessionId, const trace::DecisionRecord *) {
                                    callbacks.fetch_add(1);
                                }}))
                 ++accepted;
@@ -367,7 +367,7 @@ TEST(FleetServerSharded, EvictionVsPinningFuzzAcrossShards)
                 const auto id = ids[rng() % ids.size()];
                 if (server.trySubmit(
                         {id,
-                         [&](SessionId, const DecisionRecord *rec) {
+                         [&](SessionId, const trace::DecisionRecord *rec) {
                              if (rec == nullptr)
                                  lost.fetch_add(1);
                              callbacks.fetch_add(1);

@@ -290,6 +290,48 @@ TEST(DecisionJsonl, RoundTripIsExact)
     EXPECT_EQ(os.str(), os2.str());
 }
 
+TEST(DecisionJsonlDeathTest, RejectsOutOfRangeIntegerFields)
+{
+    // A dump is user input to gpupm replay: every count, index and
+    // config must be an in-range integer before it is cast.
+    DecisionRecord rec;
+    rec.app = "tampered";
+    rec.tag = 'W';
+    rec.configIndex = 1079;
+    rec.candidates.push_back({1079, 0.1, 2.0, false});
+    std::ostringstream os;
+    writeDecisionJsonl(os, std::span<const DecisionRecord>(&rec, 1));
+    const std::string line = os.str();
+    const auto readWith = [&](const std::string &from,
+                              const std::string &to) {
+        std::string text = line;
+        const auto at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        std::istringstream is(text);
+        (void)readDecisionJsonl(is);
+    };
+
+    EXPECT_EXIT(readWith("\"session\":0", "\"session\":-1"),
+                testing::ExitedWithCode(1), "'session'");
+    EXPECT_EXIT(readWith("\"run\":0", "\"run\":1.5"),
+                testing::ExitedWithCode(1), "'run'");
+    EXPECT_EXIT(readWith("\"index\":0", "\"index\":1e20"),
+                testing::ExitedWithCode(1), "'index'");
+    EXPECT_EXIT(readWith("\"horizon\":0", "\"horizon\":-0.5"),
+                testing::ExitedWithCode(1), "'horizon'");
+    EXPECT_EXIT(readWith("\"evaluations\":0", "\"evaluations\":1e300"),
+                testing::ExitedWithCode(1), "'evaluations'");
+    EXPECT_EXIT(readWith("\"uniqueEvaluations\":0",
+                         "\"uniqueEvaluations\":18446744073709551616"),
+                testing::ExitedWithCode(1), "'uniqueEvaluations'");
+    EXPECT_EXIT(readWith("\"config\":1079,\"predicted",
+                         "\"config\":99999999,\"predicted"),
+                testing::ExitedWithCode(1), "'config'");
+    EXPECT_EXIT(readWith("{\"config\":1079", "{\"config\":1120"),
+                testing::ExitedWithCode(1), "'config'");
+}
+
 TEST(DecisionJsonl, SortIsCanonical)
 {
     auto make = [](const char *app, std::uint64_t s, std::size_t r,

@@ -220,8 +220,6 @@ TEST(Wire, StatsRoundTripsPowercapFields)
     StatsMsg m;
     m.entries.emplace_back("powercap.violations", 7u);
     m.fleetBudgetWatts = 250.5;
-    m.capViolations = 1234567890123ull;
-    m.arbiterTicks = 42;
     std::vector<std::uint8_t> buf;
     encodeStats(buf, m);
     const auto got = decodeStats(payloadOf(buf, MsgType::Stats));
@@ -233,16 +231,13 @@ TEST(Wire, StatsRoundTripsPowercapFields)
     };
     EXPECT_EQ(got->entries, m.entries);
     EXPECT_EQ(bits(got->fleetBudgetWatts), bits(m.fleetBudgetWatts));
-    EXPECT_EQ(got->capViolations, m.capViolations);
-    EXPECT_EQ(got->arbiterTicks, m.arbiterTicks);
 }
 
 TEST(Wire, StatsRejectsTruncatedPowercapTail)
 {
-    // The powercap tail is part of the fixed frame layout, not an
-    // optional extension: a frame cut anywhere inside it (as a
-    // pre-powercap peer would produce) must be rejected, not decoded
-    // with zeroed fields.
+    // The budget tail is part of the fixed frame layout, not an
+    // optional extension: a frame cut anywhere inside it must be
+    // rejected, not decoded with a zeroed budget.
     StatsMsg m;
     m.entries.emplace_back("serve.decisions", 9u);
     m.fleetBudgetWatts = 100.0;
@@ -250,7 +245,7 @@ TEST(Wire, StatsRejectsTruncatedPowercapTail)
     encodeStats(buf, m);
     auto payload = payloadOf(buf, MsgType::Stats);
     ASSERT_TRUE(decodeStats(payload).has_value());
-    for (std::size_t cut = 1; cut <= 24; ++cut) {
+    for (std::size_t cut = 1; cut <= 8; ++cut) {
         std::vector<std::uint8_t> shorter(
             payload.begin(),
             payload.end() - static_cast<std::ptrdiff_t>(cut));
@@ -258,21 +253,22 @@ TEST(Wire, StatsRejectsTruncatedPowercapTail)
     }
 }
 
-TEST(Wire, StatsRoundTripsDeadlineMisses)
+TEST(Wire, StatsRejectsTheOldThreeCounterTail)
 {
+    // Older servers appended cap violations, arbiter ticks and deadline
+    // misses as three u64s after the budget. Those counters now travel
+    // only as entries; a payload in the old layout must fail closed so
+    // a mismatched client/server pair never misreads it.
     StatsMsg m;
-    m.entries.emplace_back("serve.deadline_misses", 6u);
-    m.deadlineMisses = 6;
+    m.entries.emplace_back("powercap.violations", 3u);
+    m.fleetBudgetWatts = 150.0;
     std::vector<std::uint8_t> buf;
     encodeStats(buf, m);
-    const auto got = decodeStats(payloadOf(buf, MsgType::Stats));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->deadlineMisses, 6u);
-
-    // The counter rides in the fixed tail: a frame cut inside the new
-    // field must reject like the rest of the powercap tail.
     auto payload = payloadOf(buf, MsgType::Stats);
-    payload.pop_back();
+    for (const std::uint64_t old_field : {3ull, 1ull, 0ull})
+        for (int byte = 0; byte < 8; ++byte)
+            payload.push_back(
+                static_cast<std::uint8_t>(old_field >> (8 * byte)));
     EXPECT_FALSE(decodeStats(payload).has_value());
 }
 

@@ -928,39 +928,25 @@ cmdFleet(int argc, const char *const *argv)
         if (auto it = h.find("serve.queue_depth"); it != h.end())
             std::cout << "queue depth: mean " << fmt(it->second.mean, 2)
                       << ", p99 " << fmt(it->second.p99, 1) << "\n";
+        const auto &m = result.metrics;
         if (fopts.server.shed.enabled) {
-            const auto &sc = result.metrics.counters;
-            const auto cnt = [&](const char *k) {
-                const auto it = sc.find(k);
-                return it != sc.end() ? it->second : std::uint64_t{0};
-            };
             std::cout << "shed: " << result.degradedDecisions
                       << " degraded decisions, "
-                      << cnt("serve.shed_enters") << " enters, "
-                      << cnt("serve.shed_exits") << " exits\n";
+                      << m.counter("serve.shed_enters") << " enters, "
+                      << m.counter("serve.shed_exits") << " exits\n";
         }
         if (fopts.server.shards > 1) {
-            const auto it =
-                result.metrics.counters.find("serve.queue_steals");
             std::cout << "shards: " << fopts.server.shards
                       << ", queue steals "
-                      << (it != result.metrics.counters.end()
-                              ? it->second
-                              : std::uint64_t{0})
-                      << "\n";
+                      << m.counter("serve.queue_steals") << "\n";
         }
         // Row counts depend on cache/memo hit patterns, which vary
         // with worker scheduling - hence outside --deterministic.
-        const auto &c = result.metrics.counters;
-        const auto rows = [&](const char *k) {
-            const auto it = c.find(k);
-            return it != c.end() ? it->second : std::uint64_t{0};
-        };
         std::cout << "inference: --simd "
                   << flags.getString("simd") << ", rows scalar "
-                  << rows("ml.rows_scalar") << ", fallback "
-                  << rows("ml.rows_fallback") << ", avx2 "
-                  << rows("ml.rows_avx2") << "\n";
+                  << m.counter("ml.rows_scalar") << ", fallback "
+                  << m.counter("ml.rows_fallback") << ", avx2 "
+                  << m.counter("ml.rows_avx2") << "\n";
     }
 
     const std::string trace_path = flags.getPath("trace");
@@ -1209,21 +1195,19 @@ cmdServe(int argc, const char *const *argv)
     g_netServer = nullptr;
 
     const auto snap = server.metrics();
-    const auto cnt = [&](const char *k) {
-        const auto it = snap.counters.find(k);
-        return it != snap.counters.end() ? it->second
-                                         : std::uint64_t{0};
-    };
-    std::cout << "served " << cnt("serve.decisions") << " decisions ("
-              << cnt("serve.shed_degraded_decisions")
+    std::cout << "served " << snap.counter("serve.decisions")
+              << " decisions ("
+              << snap.counter("serve.shed_degraded_decisions")
               << " degraded) over " << net.accepted()
-              << " connections, " << cnt("serve.rejected_requests")
-              << " rejected\n";
+              << " connections, "
+              << snap.counter("serve.rejected_requests") << " rejected\n";
     if (const auto *arbiter = server.capArbiter()) {
         std::cout << "powercap: budget "
                   << fmt(arbiter->budgetWatts(), 1) << " W, "
-                  << arbiter->violations() << " violations, "
-                  << arbiter->ticks() << " arbiter ticks\n";
+                  << snap.counter("powercap.violations")
+                  << " violations, "
+                  << snap.counter("powercap.arbiter_ticks")
+                  << " arbiter ticks\n";
     }
     return 0;
 }

@@ -524,19 +524,21 @@ main(int argc, char **argv)
                       << " decisions/s\n";
         if (statsReceived) {
             std::cout << "server counters:\n";
-            for (const auto &[key, value] : serverStats.entries)
+            std::map<std::string, std::uint64_t> counters;
+            for (const auto &[key, value] : serverStats.entries) {
                 std::cout << "  " << key << " = " << value << "\n";
+                counters[key] = value;
+            }
             if (serverStats.fleetBudgetWatts > 0.0) {
                 std::cout << "powercap: budget "
                           << serverStats.fleetBudgetWatts
                           << " W, violations "
-                          << serverStats.capViolations
+                          << counters["powercap.violations"]
                           << ", arbiter ticks "
-                          << serverStats.arbiterTicks << "\n";
+                          << counters["powercap.arbiter_ticks"] << "\n";
             }
-            if (serverStats.deadlineMisses > 0)
-                std::cout << "deadline misses: "
-                          << serverStats.deadlineMisses << "\n";
+            if (const auto misses = counters["serve.deadline_misses"])
+                std::cout << "deadline misses: " << misses << "\n";
         }
         if (verify && !verifyFailed && !protocolFailure)
             std::cout << "verify: OK (same-benchmark sessions are "
