@@ -4,10 +4,9 @@
  * (serve::runFleet) against the naive one-session-at-a-time baseline.
  *
  * The baseline disables everything the serve subsystem adds: no
- * kernel prediction cache (kernelCacheCap = 0, so every decision
- * re-walks the forests through the predictor's one-entry thread_local
- * memo, which thrashes under session interleaving) and no inference
- * broker. The served configuration is the server's default: the
+ * session prediction cache (kernelCacheCap = 0, so every decision goes
+ * straight to the predictor's predictBatch and its own prediction
+ * table) and no inference broker. The served configuration is the server's default: the
  * fleet-shared kernel prediction table plus cross-session batched
  * FlatForest walks. Both run the identical fleet workload and produce
  * byte-identical traces (pinned by test_fleet_determinism); only the
@@ -63,10 +62,9 @@ serve::FleetOptions
 fleet(std::size_t sessions)
 {
     serve::FleetOptions opts;
-    // Regular repeating benchmarks: the serving workload the session
-    // cache is designed for. Sessions interleave on the workers, so
-    // the raw predictor's one-entry thread_local memo thrashes while
-    // the per-session caches keep hitting.
+    // Regular repeating benchmarks: the serving workload the prediction
+    // tables are designed for. Sessions interleave on the workers;
+    // both the server's table and the predictor's own keep hitting.
     opts.apps = {"mandelbulbGPU", "NBody"};
     opts.sessionCount = sessions;
     opts.cpuPhaseJitter = 0.3;

@@ -1,6 +1,7 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <istream>
@@ -8,6 +9,7 @@
 #include <numeric>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.hpp"
 #include "ml/tree_builder.hpp"
@@ -282,6 +284,43 @@ DecisionTree::save(std::ostream &os) const
     GPUPM_ASSERT(os.good(), "stream failure while saving tree");
 }
 
+namespace {
+
+bool
+isBlank(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/**
+ * Parse the next blank-separated numeral of a node line into @p out and
+ * advance @p p past it; fatal when the field is missing, malformed or
+ * out of @p T's range.
+ */
+template <typename T>
+void
+parseNodeField(const char *&p, const char *end, T &out)
+{
+    while (p != end && isBlank(*p))
+        ++p;
+    if (p == end)
+        GPUPM_FATAL("truncated tree node list");
+    const auto [next, ec] = std::from_chars(p, end, out);
+    if (ec == std::errc::result_out_of_range) {
+        // 1e999 overflows a double: a non-finite value, as far as the
+        // model is concerned.
+        if constexpr (std::is_floating_point_v<T>)
+            GPUPM_FATAL("tree node with non-finite threshold or value");
+        else
+            GPUPM_FATAL("tree node out of range");
+    }
+    if (ec != std::errc() || (next != end && !isBlank(*next)))
+        GPUPM_FATAL("malformed tree node field");
+    p = next;
+}
+
+} // namespace
+
 DecisionTree
 DecisionTree::load(std::istream &is)
 {
@@ -291,12 +330,29 @@ DecisionTree::load(std::istream &is)
     if (!(is >> tag >> count >> t._depth) || tag != "tree")
         GPUPM_FATAL("malformed tree header (got '", tag, "')");
     GPUPM_ASSERT(count > 0, "tree with zero nodes");
+
+    // One node per line, parsed with from_chars out of one reused line
+    // buffer: stream extraction dominated loading a default model
+    // (47.5 MB of numerals), and reading line by line keeps memory at
+    // one line. Blanks include '\r', so CRLF files load.
+    std::string line;
+    std::getline(is, line); // the rest of the header line
+    if (!std::all_of(line.begin(), line.end(), isBlank))
+        GPUPM_FATAL("malformed tree header (trailing '", line, "')");
     t._nodes.resize(count);
     for (auto &n : t._nodes) {
-        if (!(is >> n.feature >> n.threshold >> n.left >> n.right >>
-              n.value)) {
+        if (!std::getline(is, line))
             GPUPM_FATAL("truncated tree node list");
-        }
+        const char *p = line.data();
+        const char *const end = p + line.size();
+        parseNodeField(p, end, n.feature);
+        parseNodeField(p, end, n.threshold);
+        parseNodeField(p, end, n.left);
+        parseNodeField(p, end, n.right);
+        parseNodeField(p, end, n.value);
+        if (!std::all_of(p, end, isBlank))
+            GPUPM_FATAL("trailing characters on tree node line '", line,
+                        "'");
         if (n.feature >= numFeatures ||
             (n.feature >= 0 &&
              (n.left < 0 || n.right < 0 ||

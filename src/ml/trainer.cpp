@@ -1,5 +1,6 @@
 #include "ml/trainer.hpp"
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -72,43 +73,73 @@ RandomForestPredictor::predictRows(std::span<const FeatureVector> rows,
 namespace {
 
 /**
- * One-entry cache of forests partially evaluated for a kernel-feature
- * prefix. A governor decision evaluates one kernel against many
- * configurations (sensitivity batch, climbing steps, or a full PPK
- * scan), and successive launches of the same kernel repeat the same
- * prefix, so the residual forests are built once and reused across
- * both. Keyed on the raw counters (eight doubles, padding-free) rather
- * than the derived features, so a hit also skips the log2-heavy
- * makeKernelFeatures. thread_local: sweep workers each run their own
- * decisions.
- *
- * The entry also memoizes finished predictions per dense config index:
- * a prediction is a pure function of (counters, config), and the MPC
- * premise is kernels relaunching with identical counters, so
- * steady-state decisions mostly re-request pairs already computed.
- * Memoized values are the values the residual forests produced, so
- * hits are bit-identical to recomputation.
- */
-struct SpecializedForests
-{
-    std::uint64_t owner = 0;       ///< instanceId of the owning predictor.
-    kernel::KernelCounters key{};  ///< Counters the entry belongs to.
-    KernelFeatures kf{};           ///< Derived prefix, computed once.
-    bool valid = false;
-    bool specialized = false;      ///< Residual forests built?
-    FlatForest time;
-    FlatForest power;
-    std::vector<Prediction> memo;     ///< By denseConfigIndex.
-    std::vector<std::uint8_t> known;  ///< Memo slot validity.
-};
-
-/**
  * Memo misses in one batch that justify building residual forests.
  * Specializing both forests costs roughly as much as thirty full-forest
- * prediction pairs, so small batches (hill-climb probes) never pay it
- * and exhaustive scans (hundreds of configs) always do.
+ * prediction pairs, so hill-climb probes never pay it and exhaustive
+ * scans (hundreds of configs) always do.
  */
 constexpr std::size_t kSpecializeMissThreshold = 48;
+
+/**
+ * Per-thread front of handles into predictors' tables: the entries this
+ * thread used most recently, each tagged with its predictor's
+ * instanceId. A governor decision scores the kernels of its horizon
+ * window one after another (each climb is one batch plus single-config
+ * steps), so a front a few windows deep serves nearly every request
+ * without the table mutex. A handle keeps its entry alive after the
+ * table drops it; it never matches another predictor, because instance
+ * ids are never reused.
+ */
+struct EntryFront
+{
+    static constexpr std::size_t kSlots = 32;
+
+    struct Slot
+    {
+        std::uint64_t owner = 0; ///< instanceId; 0 = empty.
+        std::shared_ptr<PredictionTable::Entry> entry;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::array<Slot, kSlots> slots;
+    std::uint64_t clock = 0;
+    std::size_t last = 0; ///< Slot of the last hit, checked first.
+
+    PredictionTable::Entry *
+    find(std::uint64_t owner, const kernel::KernelCounters &counters)
+    {
+        // Exact counter bits, like the table key.
+        const auto matches = [&](const Slot &s) {
+            return s.owner == owner &&
+                   std::memcmp(&counters, &s.entry->counters,
+                               sizeof(counters)) == 0;
+        };
+        if (!matches(slots[last])) {
+            std::size_t i = 0;
+            while (i < kSlots && !matches(slots[i]))
+                ++i;
+            if (i == kSlots)
+                return nullptr;
+            last = i;
+        }
+        slots[last].lastUse = ++clock;
+        return slots[last].entry.get();
+    }
+
+    /** Hold @p entry in the least recently used slot. */
+    PredictionTable::Entry *
+    hold(std::uint64_t owner, std::shared_ptr<PredictionTable::Entry> entry)
+    {
+        std::size_t victim = 0;
+        for (std::size_t i = 1; i < kSlots; ++i) {
+            if (slots[i].lastUse < slots[victim].lastUse)
+                victim = i;
+        }
+        slots[victim] = {owner, std::move(entry), ++clock};
+        last = victim;
+        return slots[victim].entry.get();
+    }
+};
 
 } // namespace
 
@@ -125,38 +156,16 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     trace::Span span(trace::Category::Ml, "ml.predictBatch", "configs",
                      static_cast<double>(n));
 
-    const double proxy = instructionProxy(q.counters);
-
-    // Per-kernel cache entry, claimed by any multi-config batch (a
-    // governor decision). memcmp keys on the exact counter bits, so a
-    // hit also skips the log2-heavy makeKernelFeatures. A one-off
-    // single query with a cold cache (model evaluation sweeps) walks
-    // the full forests directly and leaves the entry alone.
-    thread_local SpecializedForests spec;
-    bool entry =
-        spec.valid && spec.owner == _instanceId &&
-        std::memcmp(&q.counters, &spec.key, sizeof(spec.key)) == 0;
+    thread_local EntryFront front;
+    PredictionTable::Entry *entry = front.find(_instanceId, q.counters);
     if (!entry && n >= 2) {
-        spec.valid = false; // not reusable while rebuilding
-        spec.owner = _instanceId;
-        spec.key = q.counters;
-        spec.kf = makeKernelFeatures(q.counters);
-        spec.specialized = false;
-        spec.time = FlatForest();
-        spec.power = FlatForest();
-        spec.memo.resize(hw::denseConfigCount);
-        spec.known.assign(hw::denseConfigCount, 0);
-        spec.valid = true;
-        entry = true;
+        entry = front.hold(_instanceId,
+                           _table.acquire(_instanceId, hw::paperApu(),
+                                          q.counters));
     }
 
-    // Scratch buffers are thread_local so the hot path never allocates
-    // once warm (governors run one decision at a time per thread).
-    thread_local std::vector<FeatureVector> feats;
-    thread_local std::vector<double> time_pred, power_pred;
-
     if (!entry) {
-        // Cold single query (n >= 2 always claims the entry). Routed
+        // Cold single query (n >= 2 always claims an entry). Routed
         // through the flat engines - not the scalar recursive walk -
         // so the answer comes from the *same* engine (and, in a
         // quantized mode, the same rounding) as the batched paths:
@@ -164,66 +173,63 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
         // mode), never of cache state. Bit-identical to the recursive
         // walk in scalar mode.
         const auto kf = makeKernelFeatures(q.counters);
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto f = combineFeatures(kf, configFeatures(cs[i]));
-            // Trained on log(seconds per instruction); scale back up
-            // by the counter-derived instruction proxy.
-            out[i].time = std::exp(_timeFlat.predict(f)) * proxy;
-            out[i].gpuPower = _powerFlat.predict(f);
-        }
+        const double proxy = instructionProxy(q.counters);
+        const auto f = combineFeatures(kf, configFeatures(cs[0]));
+        // Trained on log(seconds per instruction); scale back up by
+        // the counter-derived instruction proxy.
+        out[0].time = std::exp(_timeFlat.predict(f)) * proxy;
+        out[0].gpuPower = _powerFlat.predict(f);
         return;
     }
 
-    // Serve memoized configs; walk forests only for the rest.
+    // Serve memoized configs; walk forests only for the rest. Scratch
+    // buffers are thread_local so the hot path never allocates once
+    // warm.
     thread_local std::vector<std::uint32_t> miss;
     miss.clear();
     for (std::size_t i = 0; i < n; ++i) {
-        const auto di = hw::denseConfigIndex(cs[i]);
-        if (spec.known[di])
-            out[i] = spec.memo[di];
-        else
+        if (!entry->lookup(hw::denseConfigIndex(cs[i]), out[i]))
             miss.push_back(static_cast<std::uint32_t>(i));
     }
     if (miss.empty())
         return;
 
     const std::size_t m = miss.size();
-    if (!spec.specialized && m >= kSpecializeMissThreshold) {
-        spec.time = _timeFlat.specialize(spec.kf);
-        spec.power = _powerFlat.specialize(spec.kf);
-        spec.specialized = true;
-    }
-
+    thread_local std::vector<FeatureVector> feats;
+    thread_local std::vector<double> time_pred, power_pred;
+    thread_local std::vector<std::size_t> dense;
+    thread_local std::vector<Prediction> fresh;
     feats.resize(m);
     time_pred.resize(m);
     power_pred.resize(m);
-    if (spec.specialized) {
-        // Residual trees split on config features alone, so only the
-        // config suffix of each feature vector is filled; prefix bytes
-        // left over from earlier batches are never read.
-        for (std::size_t j = 0; j < m; ++j) {
-            const auto &cf = configFeatures(cs[miss[j]]);
-            std::memcpy(feats[j].data() + numKernelFeatures, cf.data(),
-                        sizeof(cf));
-        }
-        spec.time.predictBatch(feats, time_pred);
-        spec.power.predictBatch(feats, power_pred);
+    dense.resize(m);
+    fresh.resize(m);
+    for (std::size_t j = 0; j < m; ++j) {
+        dense[j] = hw::denseConfigIndex(cs[miss[j]]);
+        feats[j] = combineFeatures(entry->kernelFeatures,
+                                   configFeatures(cs[miss[j]]));
+    }
+    if (m >= kSpecializeMissThreshold) {
+        // Residual trees split on config features alone and return the
+        // full forests' bits (see FlatForest::specialize). Built for
+        // this batch only: a residual of the default forest is far
+        // larger than the entry's memo, and the memo answers the
+        // kernel's later requests.
+        const FlatForest time = _timeFlat.specialize(entry->kernelFeatures);
+        const FlatForest power =
+            _powerFlat.specialize(entry->kernelFeatures);
+        time.predictBatch(feats, time_pred);
+        power.predictBatch(feats, power_pred);
     } else {
-        for (std::size_t j = 0; j < m; ++j)
-            feats[j] =
-                combineFeatures(spec.kf, configFeatures(cs[miss[j]]));
         _timeFlat.predictBatch(feats, time_pred);
         _powerFlat.predictBatch(feats, power_pred);
     }
     for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t i = miss[j];
-        Prediction p;
-        p.time = std::exp(time_pred[j]) * proxy;
-        p.gpuPower = power_pred[j];
-        out[i] = p;
-        spec.memo[hw::denseConfigIndex(cs[i])] = p;
-        spec.known[hw::denseConfigIndex(cs[i])] = 1;
+        fresh[j].time = std::exp(time_pred[j]) * entry->proxy;
+        fresh[j].gpuPower = power_pred[j];
+        out[miss[j]] = fresh[j];
     }
+    entry->fill(dense, fresh);
 }
 
 std::unique_ptr<RandomForestPredictor>

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ml/flat_forest.hpp"
+#include "ml/prediction_table.hpp"
 #include "ml/predictor.hpp"
 #include "ml/random_forest.hpp"
 
@@ -38,14 +39,25 @@ double instructionProxy(const kernel::KernelCounters &c);
  * the kernel-feature prefix computed once per query and the config
  * suffix served from the precomputed table. Results are bit-identical
  * to evaluating the retained scalar forests via makeFeatures.
+ *
+ * predictBatch memoizes finished predictions in one PredictionTable
+ * per predictor, shared by every thread that calls it (see
+ * predictBatch). The predictor is therefore neither copyable nor
+ * movable; hold it by pointer.
  */
 class RandomForestPredictor : public PerfPowerPredictor
 {
   public:
     /**
+     * Entries the prediction table keeps alive (~19 KB each). A sweep
+     * of the paper's 15 benchmarks creates a few hundred.
+     */
+    static constexpr std::size_t kTableEntries = 1024;
+
+    /**
      * @param simd Inference engine for both compiled forests (see
-     * simd.hpp). Fixed for the predictor's lifetime so per-kernel
-     * memo caches and residual specializations never mix engines;
+     * simd.hpp). Fixed for the predictor's lifetime so memoized
+     * predictions and residual specializations never mix engines;
      * online refits propagate the serving generation's mode.
      */
     RandomForestPredictor(RandomForest time_forest,
@@ -55,6 +67,22 @@ class RandomForestPredictor : public PerfPowerPredictor
     Prediction predict(const PredictionQuery &q,
                        const hw::HwConfig &c) const override;
 
+    /**
+     * Scores one kernel against many configs, serving memoized configs
+     * from the predictor's table. Every multi-config batch claims the
+     * kernel's entry (keyed on instanceId(), the paper model - rows use
+     * configFeatures - and the exact counter bits); a single query
+     * reads an entry the calling thread already holds and otherwise
+     * walks the forests without claiming one, so model-evaluation
+     * sweeps of single queries leave the table alone. Each thread keeps
+     * its most recently used entries in a small front, so a hit takes
+     * no lock; only a front miss takes the table mutex. Misses walk the
+     * full forests, or, when one batch misses as many configs as an
+     * exhaustive scan does, residual forests specialized for the kernel
+     * and dropped after the batch. Every path returns the same bits, so a
+     * value is a pure function of (counters, config, SIMD mode),
+     * whichever thread filled the slot.
+     */
     void predictBatch(const PredictionQuery &q,
                       std::span<const hw::HwConfig> cs,
                       std::span<Prediction> out) const override;
@@ -94,12 +122,16 @@ class RandomForestPredictor : public PerfPowerPredictor
 
     /**
      * Process-unique identity of this predictor instance. Caches keyed
-     * on the predictor (the per-thread specialization memo) must use
-     * this rather than the object address: online retraining destroys
-     * predictors and allocates replacements, and a recycled address
-     * would validate a stale cache entry against the new forests.
+     * on the predictor (prediction-table entries and the per-thread
+     * fronts of handles into them) must use this rather than the
+     * object address: online retraining destroys predictors and
+     * allocates replacements, and a recycled address would validate a
+     * stale cache entry against the new forests.
      */
     std::uint64_t instanceId() const { return _instanceId; }
+
+    /** The table predictBatch memoizes into (diagnostics). */
+    const PredictionTable &predictionTable() const { return _table; }
 
   private:
     RandomForest _time;
@@ -108,6 +140,7 @@ class RandomForestPredictor : public PerfPowerPredictor
     FlatForest _powerFlat;
     SimdMode _simd;
     std::uint64_t _instanceId;
+    mutable PredictionTable _table{kTableEntries};
 };
 
 /** Training configuration. */

@@ -145,7 +145,8 @@ MpcGovernor::decide(std::size_t index)
         // only while the run is on target - the tracker check is free,
         // and racing at the boost configuration when behind is what
         // keeps the total loss inside the alpha bound.
-        const auto ids = _pattern.expectedWindow(index, 1);
+        _pattern.expectedWindow(index, 1, _windowIds);
+        const auto &ids = _windowIds;
         // Race configuration: boost the GPU side, keep the busy-waiting
         // CPU low (it only contributes launch latency).
         hw::HwConfig cfg = _model->race();
@@ -266,12 +267,13 @@ MpcGovernor::fallbackDecide()
 sim::Decision
 MpcGovernor::optimizeWindow(std::size_t index, std::size_t horizon)
 {
-    const auto ids = _pattern.expectedWindow(index, horizon);
+    _pattern.expectedWindow(index, horizon, _windowIds);
+    const auto &ids = _windowIds;
     if (ids.empty())
         return fallbackDecide();
 
-    const auto order =
-        windowSearchOrder(_searchOrder, index, ids.size());
+    windowSearchOrder(_searchOrder, index, ids.size(), _windowOrder);
+    const auto &order = _windowOrder;
     GPUPM_ASSERT(!order.empty(), "window search order is empty");
 
     // Planned cumulative state: actuals from the tracker, extended by

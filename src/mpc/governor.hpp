@@ -176,6 +176,10 @@ class MpcGovernor : public sim::Governor
     Seconds _pendingExpectedTime = -1.0;
     MpcRunStats _stats;
     std::string _appName;
+    /** Reused per decision: the window's store ids, in invocation and
+     *  in search order (a warm, untraced decision allocates nothing). */
+    std::vector<std::size_t> _windowIds;
+    std::vector<std::size_t> _windowOrder;
 
     /** The decision made by the last decide(); see lastDecision(). */
     trace::DecisionRecord _record;

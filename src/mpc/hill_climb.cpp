@@ -77,23 +77,36 @@ HillClimbOptimizer::optimize(
     // configuration (each knob's first downward step repeats its probe),
     // and revisits must not re-run the predictor. Requests are still
     // counted per call so the charged overhead matches the paper's
-    // evaluation accounting.
-    std::vector<std::int16_t> slot(hw::denseConfigCount, -1);
-    std::vector<Eval> cache;
-    cache.reserve(64);
+    // evaluation accounting. The buffers are thread_local and a slot
+    // counts only when stamped by this call, so the memo starts empty
+    // without clearing 1120 slots or allocating.
+    struct Slot
+    {
+        std::uint32_t stamp = 0;
+        std::int16_t index = -1;
+    };
+    thread_local std::vector<Slot> slot(hw::denseConfigCount);
+    thread_local std::vector<Eval> cache;
+    thread_local std::uint32_t stamp = 0;
+    if (++stamp == 0) {
+        // Wrapped: every old stamp could now read as current.
+        std::fill(slot.begin(), slot.end(), Slot{});
+        stamp = 1;
+    }
+    cache.clear();
 
     auto remember = [&](const hw::HwConfig &c,
                         const ml::EnergyEstimate &est) {
-        slot[hw::denseConfigIndex(c)] =
-            static_cast<std::int16_t>(cache.size());
+        slot[hw::denseConfigIndex(c)] = {
+            stamp, static_cast<std::int16_t>(cache.size())};
         cache.push_back(Eval{est.time, est.energy});
     };
 
     auto evaluate = [&](const hw::HwConfig &c) {
         ++evals;
-        const auto d = hw::denseConfigIndex(c);
-        if (slot[d] >= 0) {
-            const Eval &e = cache[static_cast<std::size_t>(slot[d])];
+        const Slot &s = slot[hw::denseConfigIndex(c)];
+        if (s.stamp == stamp) {
+            const Eval &e = cache[static_cast<std::size_t>(s.index)];
             trace_eval(c, e, true);
             return e;
         }

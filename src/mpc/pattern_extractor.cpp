@@ -65,23 +65,23 @@ PatternExtractor::learnedSequenceLength() const
     return _learnedSeq.size();
 }
 
-std::vector<std::size_t>
-PatternExtractor::expectedWindow(std::size_t first,
-                                 std::size_t count) const
+void
+PatternExtractor::expectedWindow(std::size_t first, std::size_t count,
+                                 std::vector<std::size_t> &out) const
 {
-    std::vector<std::size_t> out;
+    out.clear();
     if (hasLearnedSequence()) {
         for (std::size_t i = first;
              i < first + count && i < _learnedSeq.size(); ++i) {
             out.push_back(_learnedSeq[i]);
         }
-        return out;
+        return;
     }
 
     // No (valid) previous run: extrapolate in-run periodicity.
     auto period = detectPeriod(_currentSeq);
     if (!period)
-        return out;
+        return;
     for (std::size_t i = first; i < first + count; ++i) {
         // Continue the cycle: index i maps onto the observed sequence
         // by stepping back whole periods.
@@ -90,7 +90,6 @@ PatternExtractor::expectedWindow(std::size_t first,
             j -= *period;
         out.push_back(_currentSeq[j]);
     }
-    return out;
 }
 
 const StoredKernel &

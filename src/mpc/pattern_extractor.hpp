@@ -63,11 +63,13 @@ class PatternExtractor
      * Expected store ids for invocations [first, first+count) of the
      * current run. Sources, in priority order: the sequence learned
      * from the previous full run (as long as the current run still
-     * matches it), then in-run periodicity. Returns fewer than
+     * matches it), then in-run periodicity. Yields fewer than
      * @p count entries (possibly none) when the future is unknown.
+     * Written into @p out (cleared first), so a caller that keeps one
+     * buffer decides without allocating.
      */
-    std::vector<std::size_t> expectedWindow(std::size_t first,
-                                            std::size_t count) const;
+    void expectedWindow(std::size_t first, std::size_t count,
+                        std::vector<std::size_t> &out) const;
 
     /** Whether a full previous-run sequence is available and matching. */
     bool hasLearnedSequence() const;

@@ -47,16 +47,16 @@ buildSearchOrder(const std::vector<ProfiledKernel> &profile,
     return above_group;
 }
 
-std::vector<std::size_t>
+void
 windowSearchOrder(const std::vector<std::size_t> &global_order,
-                  std::size_t first, std::size_t count)
+                  std::size_t first, std::size_t count,
+                  std::vector<std::size_t> &out)
 {
-    std::vector<std::size_t> out;
+    out.clear();
     for (auto idx : global_order) {
         if (idx >= first && idx < first + count)
             out.push_back(idx);
     }
-    return out;
 }
 
 double

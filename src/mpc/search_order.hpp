@@ -46,11 +46,12 @@ buildSearchOrder(const std::vector<ProfiledKernel> &profile,
 
 /**
  * Restrict the global search order to a window of invocation indices
- * [first, first+count), preserving the search-order ranking.
+ * [first, first+count), preserving the search-order ranking. Written
+ * into @p out (cleared first) so a reused buffer never allocates.
  */
-std::vector<std::size_t>
-windowSearchOrder(const std::vector<std::size_t> &global_order,
-                  std::size_t first, std::size_t count);
+void windowSearchOrder(const std::vector<std::size_t> &global_order,
+                       std::size_t first, std::size_t count,
+                       std::vector<std::size_t> &out);
 
 /**
  * Average per-kernel horizon length N-bar (paper Sec. IV-A4): for each

@@ -9,9 +9,10 @@
  * it, so a single governor decision never mixes generations - the same
  * batch-boundary pickup contract the broker provides per flush.
  *
- * The per-thread specialization memo inside RandomForestPredictor is
- * keyed on the predictor's instanceId, so a swap naturally invalidates
- * it on the next batch (a fresh predictor has a fresh id).
+ * Each generation's RandomForestPredictor memoizes into its own
+ * prediction table, keyed on its instanceId, so a swap starts from the
+ * new predictor's table on the next batch and never serves a value of
+ * the outgoing generation.
  */
 
 #pragma once

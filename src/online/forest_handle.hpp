@@ -17,9 +17,9 @@
  * boundary and evaluates the whole batch against that snapshot gets
  * results bit-identical to that generation's forests regardless of
  * concurrent publishes (the generation is immutable). Per-kernel memos
- * must be keyed by ordinal() so a swap invalidates them (see
- * serve::PredictionTable); the hot-swap fuzz test pins both
- * properties.
+ * shared across generations must be keyed by ordinal() so a swap
+ * invalidates them (see ml::PredictionTable and serve::SessionPredictor);
+ * the hot-swap fuzz test pins both properties.
  */
 
 #pragma once

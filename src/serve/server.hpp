@@ -193,7 +193,7 @@ class FleetServer
     InferenceBroker *broker() { return _shards[0].broker.get(); }
 
     /** The prediction table every shard's sessions share. */
-    const PredictionTable &predictionTable() const { return _table; }
+    const ml::PredictionTable &predictionTable() const { return _table; }
 
     /** Fleet cap arbiter; null when no budget is configured. */
     powercap::FleetCapArbiter *capArbiter() { return _arbiter.get(); }
@@ -224,7 +224,7 @@ class FleetServer
     /** Declared before the shards: sessions unregister on eviction. */
     std::unique_ptr<powercap::FleetCapArbiter> _arbiter;
     /** Declared before the shards: sessions hold entries of it. */
-    PredictionTable _table;
+    ml::PredictionTable _table;
     std::vector<Shard> _shards;
     std::unique_ptr<exec::ThreadPool> _pool;
     std::atomic<SessionId> _nextId{1};

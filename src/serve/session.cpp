@@ -17,7 +17,7 @@ Session::Session(SessionId id, workload::Application app,
                  telemetry::Registry *telemetry,
                  const online::ForestHandle *handle,
                  powercap::FleetCapArbiter *arbiter,
-                 PredictionTable *table)
+                 ml::PredictionTable *table)
     : _id(id), _app(std::move(app)), _base(std::move(base)),
       _broker(broker), _forestHandle(handle), _table(table), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),

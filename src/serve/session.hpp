@@ -99,7 +99,7 @@ class Session
             telemetry::Registry *telemetry = nullptr,
             const online::ForestHandle *handle = nullptr,
             powercap::FleetCapArbiter *arbiter = nullptr,
-            PredictionTable *table = nullptr);
+            ml::PredictionTable *table = nullptr);
 
     ~Session();
 
@@ -180,7 +180,7 @@ class Session
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
     InferenceBroker *_broker;
     const online::ForestHandle *_forestHandle;
-    PredictionTable *_table;
+    ml::PredictionTable *_table;
     SessionOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;

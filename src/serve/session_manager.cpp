@@ -11,7 +11,7 @@ SessionManager::SessionManager(
     InferenceBroker *broker, const SessionManagerOptions &opts,
     hw::HardwareModelPtr model, telemetry::Registry *telemetry,
     const online::ForestHandle *handle,
-    powercap::FleetCapArbiter *arbiter, PredictionTable *table)
+    powercap::FleetCapArbiter *arbiter, ml::PredictionTable *table)
     : _base(std::move(base)), _broker(broker), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),
       _forestHandle(handle), _arbiter(arbiter), _table(table)

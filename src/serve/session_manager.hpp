@@ -59,7 +59,7 @@ class SessionManager
                    telemetry::Registry *telemetry = nullptr,
                    const online::ForestHandle *handle = nullptr,
                    powercap::FleetCapArbiter *arbiter = nullptr,
-                   PredictionTable *table = nullptr);
+                   ml::PredictionTable *table = nullptr);
 
     /**
      * Create a session for @p app; evicts the LRU idle session when at
@@ -119,7 +119,7 @@ class SessionManager
     telemetry::Registry *_telemetry;
     const online::ForestHandle *_forestHandle;
     powercap::FleetCapArbiter *_arbiter;
-    PredictionTable *_table;
+    ml::PredictionTable *_table;
 
     mutable std::mutex _mutex;
     std::unordered_map<SessionId, Slot> _slots;

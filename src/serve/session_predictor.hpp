@@ -1,26 +1,26 @@
 /**
  * @file
- * Fleet-shared kernel prediction table plus the per-session predictor
- * decorator that reads it and routes its misses through the broker.
+ * Per-session predictor decorator: reads the fleet's shared
+ * ml::PredictionTable and routes its misses through the broker.
  *
  * Each fleet session owns one SessionPredictor wrapping the shared
  * Random Forest. It adds the two things a multi-tenant server needs
- * that the raw predictor cannot provide:
+ * that the raw predictor's predictBatch does not provide:
  *
- *  - a *fleet-shared, multi-kernel* prediction cache. The predictor's
- *    own memo (see RandomForestPredictor::predictBatch) is a one-entry
- *    thread_local keyed on the last kernel seen by the thread; a server
- *    worker interleaves decisions from many sessions and many kernels,
- *    so that entry thrashes and every decision re-walks the forests.
- *    Here one PredictionTable per FleetServer holds a dense per-config
- *    memo for every (forest, hardware model, kernel counters) key that
- *    some resident session uses, so tenants running the same
- *    application share one copy and a kernel any tenant has already
- *    scored costs table lookups only. Each session keeps a small LRU
- *    (kernelCacheCap) of handles into the table; a table entry lives
- *    exactly as long as some session's LRU holds it, so memory stays
- *    within resident sessions x kernelCacheCap entries, and shared
- *    kernels count once;
+ *  - a prediction cache keyed on the *session's* hardware model. The
+ *    predictor's own table (see RandomForestPredictor::predictBatch)
+ *    keys every entry on the paper model, because its rows use
+ *    ml::configFeatures; a session scores candidates with its own
+ *    model's descriptors. One ml::PredictionTable per FleetServer
+ *    holds a dense per-config memo for every (forest, hardware model,
+ *    kernel counters) key that some resident session uses, so tenants
+ *    running the same application share one copy and a kernel any
+ *    tenant has already scored costs table lookups only. Each session
+ *    keeps a small LRU (kernelCacheCap) of handles into the table; the
+ *    server's table retains nothing itself, so an entry lives exactly
+ *    as long as some session's LRU holds it, memory stays within
+ *    resident sessions x kernelCacheCap entries, and shared kernels
+ *    count once;
  *
  *  - routing of memo misses through the InferenceBroker, where rows
  *    from all in-flight decisions coalesce into shared tree-major
@@ -52,90 +52,18 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/model.hpp"
+#include "ml/prediction_table.hpp"
 #include "ml/trainer.hpp"
 #include "serve/broker.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace gpupm::serve {
-
-/**
- * Predictions keyed on everything they depend on: the forests that
- * produced them, the hardware model whose config descriptors fed the
- * rows, and the kernel's exact counter bits. Thread-safe; owned by one
- * FleetServer (never process-global: two servers on one predictor
- * keep separate tables).
- */
-class PredictionTable
-{
-  public:
-    /** One kernel's memo under one (forest, model). */
-    class Entry
-    {
-      public:
-        Entry(std::uint64_t forest, hw::HardwareModelPtr model,
-              const kernel::KernelCounters &counters);
-
-        /** Forest identity: predictor instanceId, or the generation
-         *  ordinal under online learning. */
-        const std::uint64_t forest;
-        /** Held by reference: the model cannot be freed and its address
-         *  reused while an entry keyed on it lives. */
-        const hw::HardwareModelPtr model;
-        const kernel::KernelCounters counters;
-        /** Derived from the counters alone. */
-        const ml::KernelFeatures kernelFeatures;
-        const double proxy;
-
-        /** The memoized prediction for dense config @p di, if filled. */
-        bool lookup(std::size_t di, ml::Prediction &out) const;
-
-        /** Publish @p p[j] for dense config @p di[j] (first fill wins;
-         *  every fill of one slot carries the same bits). */
-        void fill(std::span<const std::size_t> di,
-                  std::span<const ml::Prediction> p);
-
-      private:
-        std::mutex _fillMutex;
-        std::vector<ml::Prediction> _memo; ///< By denseConfigIndex.
-        std::unique_ptr<std::atomic<std::uint8_t>[]> _known;
-    };
-
-    /** The live entry for the key, created when none is. */
-    std::shared_ptr<Entry> acquire(std::uint64_t forest,
-                                   const hw::HardwareModelPtr &model,
-                                   const kernel::KernelCounters &counters);
-
-    /** Entries some session still holds. */
-    std::size_t liveEntries() const;
-
-  private:
-    struct Key
-    {
-        std::uint64_t forest;
-        /** Valid only while the entry lives (the entry pins it). */
-        const hw::HardwareModel *model;
-        kernel::KernelCounters counters;
-        bool operator==(const Key &o) const;
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const;
-    };
-
-    mutable std::mutex _mutex;
-    std::unordered_map<Key, std::weak_ptr<Entry>, KeyHash> _entries;
-    /** Map size at which the next insert sweeps expired slots. */
-    std::size_t _pruneAt = 64;
-};
 
 struct SessionPredictorOptions
 {
@@ -172,7 +100,7 @@ class SessionPredictor : public ml::PerfPowerPredictor
         const SessionPredictorOptions &opts = {},
         telemetry::Registry *telemetry = nullptr,
         const online::ForestHandle *handle = nullptr,
-        PredictionTable *table = nullptr);
+        ml::PredictionTable *table = nullptr);
 
     ml::Prediction predict(const ml::PredictionQuery &q,
                            const hw::HwConfig &c) const override;
@@ -196,7 +124,7 @@ class SessionPredictor : public ml::PerfPowerPredictor
   private:
     struct Slot
     {
-        std::shared_ptr<PredictionTable::Entry> entry;
+        std::shared_ptr<ml::PredictionTable::Entry> entry;
         std::uint64_t lastUse = 0;
     };
 
@@ -210,8 +138,8 @@ class SessionPredictor : public ml::PerfPowerPredictor
     hw::HardwareModelPtr _model;
     const online::ForestHandle *_handle;
     std::size_t _cap;
-    std::unique_ptr<PredictionTable> _ownTable; ///< When none is given.
-    PredictionTable *_table;
+    std::unique_ptr<ml::PredictionTable> _ownTable; ///< When none is given.
+    ml::PredictionTable *_table;
 
     // Session-local mutable state (single-worker access; see above).
     mutable std::vector<Slot> _slots;

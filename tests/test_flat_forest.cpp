@@ -250,6 +250,31 @@ TEST(FlatForest, LoadRejectsCorruptNodes)
     EXPECT_DEATH(DecisionTree::load(bad_feat), "out of range");
     std::stringstream bad_child("tree 2 1\n0 0.5 1 7 0\n-1 0 0 0 1\n");
     EXPECT_DEATH(DecisionTree::load(bad_child), "out of range");
+    std::stringstream big_int("tree 1 0\n-1 0 0 99999999999 1.5\n");
+    EXPECT_DEATH(DecisionTree::load(big_int), "out of range");
+    std::stringstream short_line("tree 1 0\n-1 0 0 0\n");
+    EXPECT_DEATH(DecisionTree::load(short_line), "truncated");
+    // Trailing junk, after a field or as a sixth field, is corruption,
+    // not something to skip.
+    std::stringstream glued("tree 1 0\n-1 0 0 0 1.5x\n");
+    EXPECT_DEATH(DecisionTree::load(glued), "malformed");
+    std::stringstream extra("tree 1 0\n-1 0 0 0 1.5 7\n");
+    EXPECT_DEATH(DecisionTree::load(extra), "trailing characters");
+    std::stringstream junk("tree 1 0\n-1 0 0 0 1.5 # leaf\n");
+    EXPECT_DEATH(DecisionTree::load(junk), "trailing characters");
+}
+
+TEST(FlatForest, LoadAcceptsCrlfNodeLines)
+{
+    std::stringstream crlf("tree 3 1\r\n0 0.5 1 2 0\r\n-1 0 0 0 1.5\r\n"
+                           "-1 0 0 0 2.5\r\n");
+    const auto t = DecisionTree::load(crlf);
+    ASSERT_EQ(t.nodeCount(), 3u);
+    FeatureVector f{};
+    f[0] = 0.25;
+    EXPECT_EQ(t.predict(f), 1.5);
+    f[0] = 0.75;
+    EXPECT_EQ(t.predict(f), 2.5);
 }
 
 TEST(FlatForest, OobMapeOnLoadedForestIsNanNotCrash)

@@ -27,6 +27,15 @@ fig7Profile()
     return p;
 }
 
+std::vector<std::size_t>
+window(const std::vector<std::size_t> &order, std::size_t first,
+       std::size_t count)
+{
+    std::vector<std::size_t> out{99}; // stale content must be cleared
+    windowSearchOrder(order, first, count, out);
+    return out;
+}
+
 TEST(SearchOrder, ReproducesFig7Example)
 {
     auto order = buildSearchOrder(fig7Profile(), 1.0);
@@ -93,21 +102,21 @@ TEST(SearchOrder, WindowFilterPreservesRank)
     auto order = buildSearchOrder(fig7Profile(), 1.0);
     // Window covering kernels 0-2 (0-based): order restricted to
     // (2,1,0), the paper's "Kernel 1" step.
-    EXPECT_EQ(windowSearchOrder(order, 0, 3),
+    EXPECT_EQ(window(order, 0, 3),
               (std::vector<std::size_t>{2, 1, 0}));
     // Window covering kernels 3-5: (5,4,3), the "Kernel 4" step.
-    EXPECT_EQ(windowSearchOrder(order, 3, 3),
+    EXPECT_EQ(window(order, 3, 3),
               (std::vector<std::size_t>{5, 4, 3}));
     // A window spanning both clusters keeps the global ranking.
-    EXPECT_EQ(windowSearchOrder(order, 1, 4),
+    EXPECT_EQ(window(order, 1, 4),
               (std::vector<std::size_t>{2, 1, 4, 3}));
 }
 
 TEST(SearchOrder, WindowBeyondEndIsEmpty)
 {
     auto order = buildSearchOrder(fig7Profile(), 1.0);
-    EXPECT_TRUE(windowSearchOrder(order, 6, 3).empty());
-    EXPECT_EQ(windowSearchOrder(order, 5, 10),
+    EXPECT_TRUE(window(order, 6, 3).empty());
+    EXPECT_EQ(window(order, 5, 10),
               (std::vector<std::size_t>{5}));
 }
 

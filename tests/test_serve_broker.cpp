@@ -1,7 +1,7 @@
 /**
  * @file
  * serve::InferenceBroker, serve::SessionPredictor and
- * serve::PredictionTable contract tests: bit-identity of brokered
+ * ml::PredictionTable contract tests: bit-identity of brokered
  * evaluation against direct predictRows, the three flush triggers
  * (batch-full, all-waiting coalescing, deadline safety net), the
  * per-session kernel LRU (hits, passthrough modes, eviction) and the
@@ -447,7 +447,7 @@ TEST(PredictionTable, SecondSessionOnTheSameKernelWalksNoRows)
 {
     auto rf = tinyRf();
     InferenceBroker broker(rf);
-    PredictionTable table;
+    ml::PredictionTable table;
     telemetry::Registry reg;
     SessionPredictor first(rf, &broker, hw::paperApu(), {}, &reg,
                            nullptr, &table);
@@ -475,7 +475,7 @@ TEST(PredictionTable, SecondSessionOnTheSameKernelWalksNoRows)
 TEST(PredictionTable, DifferentHardwareModelsNeverShareValues)
 {
     auto rf = tinyRf();
-    PredictionTable table;
+    ml::PredictionTable table;
     const auto fx = sampleQuery(0x6b6);
     // An equal-parameter copy is still another model: identity is the
     // model object, not its name or parameters.
@@ -523,7 +523,7 @@ TEST(PredictionTable, HotSwapNeverServesOutgoingGenerationValues)
         online::ForestHandle handle(gen0);
         InferenceBroker broker(handle);
         InferenceBroker *b = brokered ? &broker : nullptr;
-        PredictionTable table;
+        ml::PredictionTable table;
         SessionPredictor early(gen0, b, hw::paperApu(), {}, nullptr,
                                &handle, &table);
         SessionPredictor late(gen0, b, hw::paperApu(), {}, nullptr,
@@ -570,7 +570,7 @@ TEST(PredictionTable, TwoServersOnOnePredictorKeepSeparateTables)
 TEST(PredictionTable, EntryIsFreedWhenItsLastSessionIsEvicted)
 {
     auto rf = tinyRf();
-    PredictionTable table;
+    ml::PredictionTable table;
     SessionManager mgr(rf, nullptr, {}, hw::paperApu(), nullptr, nullptr,
                        nullptr, &table);
     SessionOptions opts;
@@ -601,7 +601,7 @@ TEST(PredictionTable, CapZeroStaysAPassthrough)
 {
     auto rf = tinyRf();
     InferenceBroker broker(rf);
-    PredictionTable table;
+    ml::PredictionTable table;
     SessionPredictorOptions opts;
     opts.kernelCacheCap = 0;
     SessionPredictor sp(rf, &broker, hw::paperApu(), opts, nullptr,
@@ -630,7 +630,7 @@ TEST(PredictionTable, ConcurrentCrossShardFillAndHit)
     constexpr int kIters = 40;
     auto rf = tinyRf();
     InferenceBroker shard0(rf), shard1(rf);
-    PredictionTable table;
+    ml::PredictionTable table;
     std::vector<QueryFixture> kernels;
     std::vector<std::vector<ml::Prediction>> want;
     for (std::uint64_t k = 0; k < 3; ++k) {

@@ -8,13 +8,14 @@
 # or just the inference engine's suites (-R matches gtest suite names,
 # e.g. FlatForest.FuzzBitIdenticalToScalar, not test file names):
 #
-#   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer'
+#   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer|PredictorTable|DecisionAllocation'
 #
-# or the fleet-serving path (request queue, broker, shared prediction
-# table, sharded server, shed controller, wire protocol and the epoll
-# net server — the set CI runs under its scoped TSan leg):
+# or the fleet-serving path (request queue, broker, the shared
+# prediction tables, sharded server, shed controller, wire protocol and
+# the epoll net server — the core of the set CI runs under its scoped
+# TSan leg):
 #
-#   tools/run_sanitizers.sh -R 'RequestQueue|InferenceBroker|PredictionTable|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
+#   tools/run_sanitizers.sh -R 'RequestQueue|InferenceBroker|PredictionTable|PredictorTable|DecisionAllocation|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
 #
 # A single sanitizer can be selected with --only (used by CI, where
 # TSan and ASan run as separate jobs):
