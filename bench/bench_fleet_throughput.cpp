@@ -1,16 +1,14 @@
 /**
  * @file
  * google-benchmark throughput study of the fleet decision server
- * (serve::runFleet) against the naive one-session-at-a-time baseline.
+ * (serve::runFleet).
  *
- * The baseline disables everything the serve subsystem adds: no
- * session prediction cache (kernelCacheCap = 0, so every decision goes
- * straight to the predictor's predictBatch and its own prediction
- * table) and no inference broker. The served configuration is the server's default: the
+ * BM_FleetServed runs the server's default configuration: the
  * fleet-shared kernel prediction table plus cross-session batched
- * FlatForest walks. Both run the identical fleet workload and produce
- * byte-identical traces (pinned by test_fleet_determinism); only the
- * decisions-per-second differ.
+ * FlatForest walks. There is no uncached baseline to hold it against:
+ * with the session cache off (kernelCacheCap = 0) every decision still
+ * reaches the predictor's own prediction table. Every configuration
+ * produces byte-identical traces (pinned by test_fleet_determinism).
  *
  * Two sharded studies ride on the same workload: BM_FleetSharded
  * splits the 64-session fleet over tenant-hash shards (per-shard
@@ -22,7 +20,7 @@
  * shed_rate, so perf_compare.py tracks tails, not just rates.
  *
  * The committed baseline lives at docs/perf/BENCH_fleet.json
- * (sessions = 1, 8, 64); the sharded/massive baseline at
+ * (BM_FleetServed, sessions = 1, 8, 64); the sharded/massive baseline at
  * docs/perf/BENCH_fleet_sharded.json. Regenerate with:
  *
  *     ./build/bench/bench_fleet_throughput \
@@ -96,36 +94,6 @@ report(benchmark::State &state, const serve::FleetResult &last,
                   static_cast<double>(last.decisions)
             : 0.0;
 }
-
-/**
- * Naive serving: one worker steps sessions round-robin with no session
- * cache and no broker - what hosting N tenants on the raw predictor
- * costs.
- */
-void
-BM_FleetNaiveSequential(benchmark::State &state)
-{
-    const auto sessions = static_cast<std::size_t>(state.range(0));
-    auto opts = fleet(sessions);
-    opts.server.jobs = 1;
-    opts.server.batching = false;
-    opts.session.kernelCacheCap = 0;
-
-    forest(); // train outside the timed region
-    serve::FleetResult last;
-    for (auto _ : state)
-        last = serve::runFleet(forest(), opts);
-    report(state, last, last.decisions);
-}
-// UseRealTime: the fleet runs on the server's worker threads while the
-// driver blocks, so wall clock (not the driver's CPU time) is the
-// meaningful denominator for the rate counters.
-BENCHMARK(BM_FleetNaiveSequential)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(64)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 /**
  * The fleet server's default path: the fleet-shared prediction table,

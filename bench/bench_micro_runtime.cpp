@@ -3,7 +3,9 @@
  * google-benchmark microbenchmarks of the runtime components that the
  * OverheadModel constants stand for: Random Forest inference, one
  * greedy hill-climb decision, one PPK exhaustive scan, the pattern
- * extractor's hot path, and the Theoretically Optimal planner.
+ * extractor's hot path, and the Theoretically Optimal planner. It also
+ * times loading a saved model, a setup cost rather than a per-decision
+ * one.
  *
  * These measure this host, not the paper's A10-7850K; the point is the
  * relative cost structure (hill climb << exhaustive scan) that makes
@@ -14,12 +16,15 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "kernel/perf_model.hpp"
 #include "ml/features.hpp"
+#include "ml/serialize.hpp"
 #include "mpc/hill_climb.hpp"
 #include "mpc/pattern_extractor.hpp"
 #include "policy/knapsack.hpp"
@@ -291,6 +296,33 @@ BM_TrainPredictorEndToEnd(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TrainPredictorEndToEnd)->Unit(benchmark::kMillisecond);
+
+/**
+ * Model load: the default `gpupm train` forest (128-kernel corpus,
+ * stride 1, 60 trees per forest; ~47.5 MB of text) read back from an
+ * in-memory stream, both arenas compiled. The setup cost of every
+ * process that starts from a saved model. Trains once, untimed.
+ */
+void
+BM_LoadRandomForest(benchmark::State &state)
+{
+    static const std::string text = [] {
+        ml::TrainerOptions opts;
+        opts.jobs = 0;
+        std::ostringstream os;
+        ml::saveRandomForest(*ml::trainRandomForestPredictor(opts), os);
+        return os.str();
+    }();
+    for (auto _ : state) {
+        std::istringstream is(text);
+        auto rf = ml::loadRandomForest(is);
+        benchmark::DoNotOptimize(rf);
+    }
+    state.counters["mb"] = static_cast<double>(text.size()) / 1e6;
+}
+// Real time: the parse runs on pool threads while the caller waits.
+BENCHMARK(BM_LoadRandomForest)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
 
 void
 BM_SignatureAndLookup(benchmark::State &state)

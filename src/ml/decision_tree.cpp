@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -294,29 +295,30 @@ isBlank(char c)
 
 /**
  * Parse the next blank-separated numeral of a node line into @p out and
- * advance @p p past it; fatal when the field is missing, malformed or
- * out of @p T's range.
+ * advance @p p past it. Returns the error when the field is missing,
+ * malformed or out of @p T's range, else nullptr.
  */
 template <typename T>
-void
+const char *
 parseNodeField(const char *&p, const char *end, T &out)
 {
     while (p != end && isBlank(*p))
         ++p;
     if (p == end)
-        GPUPM_FATAL("truncated tree node list");
+        return "truncated tree node list";
     const auto [next, ec] = std::from_chars(p, end, out);
     if (ec == std::errc::result_out_of_range) {
         // 1e999 overflows a double: a non-finite value, as far as the
         // model is concerned.
         if constexpr (std::is_floating_point_v<T>)
-            GPUPM_FATAL("tree node with non-finite threshold or value");
+            return "tree node with non-finite threshold or value";
         else
-            GPUPM_FATAL("tree node out of range");
+            return "tree node out of range";
     }
     if (ec != std::errc() || (next != end && !isBlank(*next)))
-        GPUPM_FATAL("malformed tree node field");
+        return "malformed tree node field";
     p = next;
+    return nullptr;
 }
 
 } // namespace
@@ -324,48 +326,128 @@ parseNodeField(const char *&p, const char *end, T &out)
 DecisionTree
 DecisionTree::load(std::istream &is)
 {
-    std::string tag;
-    std::size_t count = 0;
     DecisionTree t;
-    if (!(is >> tag >> count >> t._depth) || tag != "tree")
-        GPUPM_FATAL("malformed tree header (got '", tag, "')");
-    GPUPM_ASSERT(count > 0, "tree with zero nodes");
+    std::size_t count = 0;
+    std::string error = readHeader(is, count, t._depth);
+    if (error.empty()) {
+        std::string lines;
+        readLines(is, count, std::string::npos, lines);
+        t._nodes.resize(count);
+        error = parseLines(lines, count, t._nodes);
+    }
+    if (!error.empty())
+        GPUPM_FATAL(error);
+    return t;
+}
 
-    // One node per line, parsed with from_chars out of one reused line
-    // buffer: stream extraction dominated loading a default model
-    // (47.5 MB of numerals), and reading line by line keeps memory at
-    // one line. Blanks include '\r', so CRLF files load.
-    std::string line;
-    std::getline(is, line); // the rest of the header line
-    if (!std::all_of(line.begin(), line.end(), isBlank))
-        GPUPM_FATAL("malformed tree header (trailing '", line, "')");
-    t._nodes.resize(count);
-    for (auto &n : t._nodes) {
-        if (!std::getline(is, line))
-            GPUPM_FATAL("truncated tree node list");
-        const char *p = line.data();
-        const char *const end = p + line.size();
-        parseNodeField(p, end, n.feature);
-        parseNodeField(p, end, n.threshold);
-        parseNodeField(p, end, n.left);
-        parseNodeField(p, end, n.right);
-        parseNodeField(p, end, n.value);
-        if (!std::all_of(p, end, isBlank))
-            GPUPM_FATAL("trailing characters on tree node line '", line,
-                        "'");
+std::string
+DecisionTree::readHeader(std::istream &is, std::size_t &count, int &depth)
+{
+    std::string tag;
+    if (!(is >> tag >> count >> depth) || tag != "tree")
+        return "malformed tree header (got '" + tag + "')";
+    if (count == 0)
+        return "tree with zero nodes";
+    std::string rest;
+    std::getline(is, rest);
+    if (!std::all_of(rest.begin(), rest.end(), isBlank))
+        return "malformed tree header (trailing '" + rest + "')";
+    return {};
+}
+
+std::size_t
+DecisionTree::readLines(std::istream &is, std::size_t n, std::size_t bytes,
+                        std::string &lines)
+{
+    // Chunks of what the stream buffer holds, scanned for line ends: a
+    // getline call per line costs several times the copy. The part of
+    // the last chunk past the last line taken goes back with sputbackc,
+    // which cannot fail for characters of the current get area, so the
+    // stream is left just past that line, in the state getline leaves.
+    constexpr auto kChunk = static_cast<std::streamsize>(kReadChunk);
+    constexpr auto eof = std::char_traits<char>::eof();
+    std::streambuf *const sb = is.rdbuf();
+    std::size_t read = 0;
+    std::size_t line = lines.size(); // start of the line being read
+    while (read < n) {
+        if (sb == nullptr || sb->sgetc() == eof) {
+            // A last line without '\n' still counts.
+            if (lines.size() > line) {
+                lines.push_back('\n');
+                ++read;
+            }
+            is.setstate(read < n ? std::ios::eofbit | std::ios::failbit
+                                 : std::ios::eofbit);
+            break;
+        }
+        const std::size_t at = lines.size();
+        const std::streamsize take =
+            std::clamp<std::streamsize>(sb->in_avail(), 1, kChunk);
+        lines.resize(at + static_cast<std::size_t>(take));
+        sb->sgetn(lines.data() + at, take);
+        const char *p = lines.data() + at;
+        const char *const end = lines.data() + lines.size();
+        while ((p = static_cast<const char *>(std::memchr(
+                    p, '\n', static_cast<std::size_t>(end - p))))) {
+            ++read;
+            line = static_cast<std::size_t>(++p - lines.data());
+            if (read == n || line >= bytes) {
+                for (std::size_t i = lines.size(); i > line; --i) {
+                    GPUPM_ASSERT(sb->sputbackc(lines[i - 1]) != eof,
+                                 "stream buffer refused a put-back");
+                }
+                lines.resize(line);
+                return read;
+            }
+        }
+    }
+    return read;
+}
+
+std::string
+DecisionTree::parseLines(std::string_view lines, std::size_t count,
+                         std::span<Node> out)
+{
+    // One node per line, parsed with from_chars: stream extraction
+    // dominated loading a default model (47.5 MB of numerals). Blanks
+    // include '\r', so CRLF files load.
+    const char *p = lines.data();
+    const char *const stop = p + lines.size();
+    for (auto &n : out) {
+        const auto *eol = static_cast<const char *>(
+            std::memchr(p, '\n', static_cast<std::size_t>(stop - p)));
+        if (eol == nullptr)
+            return "truncated tree node list";
+        const char *const line = p;
+        const char *error = parseNodeField(p, eol, n.feature);
+        if (!error)
+            error = parseNodeField(p, eol, n.threshold);
+        if (!error)
+            error = parseNodeField(p, eol, n.left);
+        if (!error)
+            error = parseNodeField(p, eol, n.right);
+        if (!error)
+            error = parseNodeField(p, eol, n.value);
+        if (error)
+            return error;
+        if (!std::all_of(p, eol, isBlank)) {
+            return "trailing characters on tree node line '" +
+                   std::string(line, eol) + "'";
+        }
         if (n.feature >= numFeatures ||
             (n.feature >= 0 &&
              (n.left < 0 || n.right < 0 ||
               n.left >= static_cast<std::int32_t>(count) ||
               n.right >= static_cast<std::int32_t>(count)))) {
-            GPUPM_FATAL("tree node out of range");
+            return "tree node out of range";
         }
         // A corrupted model file must fail here, not poison every
         // later prediction with NaN/inf.
         if (!std::isfinite(n.threshold) || !std::isfinite(n.value))
-            GPUPM_FATAL("tree node with non-finite threshold or value");
+            return "tree node with non-finite threshold or value";
+        p = eol + 1;
     }
-    return t;
+    return {};
 }
 
 double

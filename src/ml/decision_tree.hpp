@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -138,10 +140,43 @@ class DecisionTree
         double value = 0.0; ///< Leaf prediction.
     };
 
+    /**
+     * The three steps of load(), public so a loader can spread the
+     * parsing of many trees over threads (ForestLoader). Each returns
+     * its error message, or an empty string on success.
+     *
+     * readHeader() reads a "tree <nodes> <depth>" line.
+     */
+    static std::string readHeader(std::istream &is, std::size_t &count,
+                                  int &depth);
+
+    /**
+     * Append node lines of @p is to @p lines verbatim, each ended by
+     * '\n': @p n lines, or fewer once @p lines holds @p bytes or the
+     * stream ends (check the stream to tell which). Returns the count
+     * appended. Reads the stream buffer in chunks of kReadChunk bytes,
+     * so @p lines may hold that much past its last line while reading;
+     * the stream is left just past the last line taken.
+     */
+    static std::size_t readLines(std::istream &is, std::size_t n,
+                                 std::size_t bytes, std::string &lines);
+    static constexpr std::size_t kReadChunk = 2048;
+
+    /**
+     * The one node-line parser: parse out.size() lines of @p lines, the
+     * nodes of a tree of @p count nodes, into @p out. Finds truncation,
+     * out-of-range fields and children, non-finite values and trailing
+     * junk; CRLF lines load. Touches only its arguments.
+     */
+    static std::string parseLines(std::string_view lines,
+                                  std::size_t count, std::span<Node> out);
+
     /** Read-only node storage (index 0 = root); FlatForest compiles it. */
     const std::vector<Node> &nodes() const { return _nodes; }
 
   private:
+    friend class ForestLoader;
+
     /** Legacy per-node-sort recursion (TreeOptions::legacySplitScan). */
     std::int32_t build(const Dataset &data,
                        std::vector<std::uint32_t> &rows, std::size_t begin,

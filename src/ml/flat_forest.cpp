@@ -265,21 +265,71 @@ FlatForest::arenaMisalignment() const
     return mis(_nodes.data()) | mis(_qnodes.data());
 }
 
+bool
+FlatForest::sameArena(const FlatForest &other) const
+{
+    const auto same_bits = [](const auto &a, const auto &b) {
+        return a.size() == b.size() &&
+               (a.empty() || std::memcmp(a.data(), b.data(),
+                                         a.size() * sizeof(a[0])) == 0);
+    };
+    // Node has padding, so it compares field by field.
+    const auto same_node = [](const Node &a, const Node &b) {
+        return std::bit_cast<std::uint64_t>(a.threshold) ==
+                   std::bit_cast<std::uint64_t>(b.threshold) &&
+               a.offset == b.offset && a.feature == b.feature;
+    };
+    return std::equal(_nodes.begin(), _nodes.end(), other._nodes.begin(),
+                      other._nodes.end(), same_node) &&
+           same_bits(_qnodes, other._qnodes) &&
+           same_bits(_leafIdx, other._leafIdx) &&
+           same_bits(_leafValue, other._leafValue) &&
+           same_bits(_roots, other._roots) &&
+           same_bits(_depths, other._depths) &&
+           same_bits(_walkOrder, other._walkOrder) &&
+           same_bits(_quant, other._quant) && same_bits(_qlo, other._qlo) &&
+           same_bits(_qinv, other._qinv);
+}
+
 FlatForest
 FlatForest::compile(const RandomForest &rf)
 {
+    FlatForest ff = reserve(rf);
+    ff.build(rf);
+    return ff;
+}
+
+FlatForest
+FlatForest::reserve(const RandomForest &rf)
+{
     GPUPM_ASSERT(rf.fitted(), "cannot compile an unfitted forest");
     FlatForest ff;
+    // Every table, the leaf table too (a binary tree of n nodes has
+    // (n + 1) / 2 leaves), so build() frees no block on the way:
+    // freeing an mmap-sized block raises glibc's dynamic mmap
+    // threshold, and a later sweep's peak RSS with it.
+    std::size_t leaves = 0;
+    for (const auto &tree : rf.trees())
+        leaves += (tree.nodeCount() + 1) / 2;
     ff._nodes.reserve(rf.totalNodes());
     ff._leafIdx.reserve(rf.totalNodes());
+    ff._leafValue.reserve(leaves);
+    ff._qnodes.reserve(rf.totalNodes());
     ff._roots.reserve(rf.treeCount());
     ff._depths.reserve(rf.treeCount());
-    for (const auto &tree : rf.trees())
-        ff.appendTree(tree.nodes());
-    ff.finalizeWalkOrder();
-    ff.buildQuantTables();
-    ff._arenaId = nextArenaId();
+    ff._walkOrder.reserve(rf.treeCount());
     return ff;
+}
+
+void
+FlatForest::build(const RandomForest &rf)
+{
+    GPUPM_ASSERT(!compiled(), "build on a compiled FlatForest");
+    for (const auto &tree : rf.trees())
+        appendTree(tree.nodes());
+    finalizeWalkOrder();
+    buildQuantTables();
+    _arenaId = nextArenaId();
 }
 
 FlatForest

@@ -102,6 +102,17 @@ class FlatForest
     static FlatForest compile(const RandomForest &rf);
 
     /**
+     * compile() in two steps: reserve() allocates every table of the
+     * arena for @p rf, build() fills them without allocating more than
+     * per-tree scratch. RandomForestPredictor reserves both arenas on
+     * its own thread and builds one on a helper, so the arenas' memory
+     * never comes from a short-lived thread's malloc arena, where the
+     * blocks of a replaced model would stay resident.
+     */
+    static FlatForest reserve(const RandomForest &rf);
+    void build(const RandomForest &rf);
+
+    /**
      * Compile a single fitted tree (a one-tree forest). Used for the
      * out-of-bag accumulation during training, where per-tree - not
      * mean - predictions are needed.
@@ -242,6 +253,14 @@ class FlatForest
      * never matches again).
      */
     std::uint64_t arenaId() const { return _arenaId; }
+
+    /**
+     * Whether @p other holds the same compiled arena, bit for bit:
+     * nodes, quantized nodes, leaf indices and values, roots, depths,
+     * walk order and quantizers. Engine mode and arenaId() are not
+     * compared (tests).
+     */
+    bool sameArena(const FlatForest &other) const;
 
     /**
      * Bitwise OR of every packed arena's base address modulo the cache

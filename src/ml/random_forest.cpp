@@ -171,18 +171,127 @@ RandomForest::save(std::ostream &os) const
 RandomForest
 RandomForest::load(std::istream &is)
 {
+    RandomForest rf;
+    ForestLoader loader;
+    loader.read(is, rf);
+    loader.finish();
+    return rf;
+}
+
+ForestLoader::ForestLoader() : _pool(std::make_unique<exec::ThreadPool>())
+{
+}
+
+ForestLoader::~ForestLoader()
+{
+    // Queued tasks write into _trees, _pieces and _free: drain first.
+    _pool->shutdown();
+}
+
+void
+ForestLoader::read(std::istream &is, RandomForest &out)
+{
     std::string tag1, tag2;
     std::size_t count = 0;
     if (!(is >> tag1 >> tag2 >> count) || tag1 != "forest" ||
         tag2 != "trees") {
-        GPUPM_FATAL("malformed forest header");
+        fail("malformed forest header");
     }
-    GPUPM_ASSERT(count > 0, "forest with zero trees");
-    RandomForest rf;
-    rf._trees.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        rf._trees.push_back(DecisionTree::load(is));
-    return rf;
+    if (count == 0)
+        fail("forest with zero trees");
+    _sections.push_back({&out, _trees.size(), count});
+    for (std::size_t t = 0; t < count; ++t) {
+        const std::size_t tree = _trees.size();
+        DecisionTree &dt = _trees.emplace_back();
+        std::size_t nodes = 0;
+        const std::string error =
+            DecisionTree::readHeader(is, nodes, dt._depth);
+        if (!error.empty())
+            fail("tree " + std::to_string(tree) + ": " + error);
+        dt._nodes.resize(nodes);
+        for (std::size_t first = 0; first < nodes;) {
+            std::string *text = takeBuffer();
+            const std::size_t want = nodes - first;
+            const std::size_t got =
+                DecisionTree::readLines(is, want, kPieceBytes, *text);
+            if (got < want && !is) {
+                // Truncated: the lines before the end still parse
+                // first, so a corrupt one among them is what reports.
+                post(tree, text, std::span(dt._nodes).subspan(first));
+                reportErrors();
+            }
+            post(tree, text, std::span(dt._nodes).subspan(first, got));
+            first += got;
+        }
+    }
+}
+
+void
+ForestLoader::post(std::size_t tree, std::string *text,
+                   std::span<DecisionTree::Node> nodes)
+{
+    Piece &piece = _pieces.emplace_back();
+    piece.tree = tree;
+    const std::size_t count = _trees[tree].nodeCount();
+    _pool->post([this, &piece, text, nodes, count] {
+        piece.error = DecisionTree::parseLines(*text, count, nodes);
+        std::lock_guard lock(_mutex);
+        _free.push_back(text);
+        _returned.notify_one();
+    });
+}
+
+std::string *
+ForestLoader::takeBuffer()
+{
+    // Two buffers per worker keep every worker busy while the reader
+    // cuts the next piece. A piece of node lines (under 40 bytes each
+    // in a saved model) fits the reserve, so no buffer grows.
+    std::unique_lock lock(_mutex);
+    if (_free.empty() && _buffers.size() < 2 * _pool->threadCount()) {
+        auto &text = _buffers.emplace_back(std::make_unique<std::string>());
+        text->reserve(kPieceBytes + DecisionTree::kReadChunk + 256);
+        return text.get();
+    }
+    _returned.wait(lock, [this] { return !_free.empty(); });
+    std::string *text = _free.back();
+    _free.pop_back();
+    text->clear();
+    return text;
+}
+
+void
+ForestLoader::reportErrors()
+{
+    _pool->shutdown();
+    for (const Piece &piece : _pieces) {
+        if (!piece.error.empty())
+            GPUPM_FATAL("tree ", piece.tree, ": ", piece.error);
+    }
+}
+
+void
+ForestLoader::fail(const std::string &message)
+{
+    reportErrors();
+    GPUPM_FATAL(message);
+}
+
+void
+ForestLoader::finish()
+{
+    reportErrors();
+    for (const Section &section : _sections) {
+        auto &trees = section.forest->_trees;
+        trees.clear();
+        trees.reserve(section.count);
+        for (std::size_t i = 0; i < section.count; ++i)
+            trees.push_back(std::move(_trees[section.first + i]));
+        section.forest->_oob.clear();
+    }
+    _trees.clear();
+    _pieces.clear();
+    _sections.clear();
 }
 
 std::size_t

@@ -6,11 +6,18 @@
  * Bootstrap-sampled CART trees with per-split feature subsetting; the
  * prediction is the mean over trees. Out-of-bag (OOB) predictions give
  * an unbiased generalization-error estimate without a holdout set.
+ * ForestLoader reads saved forests back, parsing trees on a pool.
  */
 
 #pragma once
 
+#include <condition_variable>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ml/decision_tree.hpp"
@@ -95,12 +102,104 @@ class RandomForest
      */
     void save(std::ostream &os) const;
 
-    /** Read a forest written by save(); fatal on malformed input. */
+    /**
+     * Read a forest written by save(); fatal on malformed input. Parses
+     * the trees in parallel (ForestLoader).
+     */
     static RandomForest load(std::istream &is);
 
   private:
+    friend class ForestLoader;
+
     std::vector<DecisionTree> _trees;
     std::vector<std::optional<double>> _oob;
+};
+
+/**
+ * Loads the forests of one model stream in parallel.
+ *
+ * The calling thread is the reader: in file order it reads each tree's
+ * header, sizes the tree, and cuts its node lines into pieces of about
+ * kPieceBytes (DecisionTree::readLines), consuming exactly the bytes a
+ * serial load consumes. A transient pool sized at the hardware
+ * concurrency parses and validates the pieces
+ * (DecisionTree::parseLines) while the reader goes on. Each piece fills
+ * its own range of its tree's nodes, so the loaded forests are the same
+ * at any thread count. At most two pieces per worker are in flight, and
+ * each stays below the allocator's mmap threshold, so the load leaves
+ * no freed large block behind to raise it.
+ *
+ * Errors: no pool task ends the process. A task keeps its piece's
+ * error. The reader cuts the whole stream, or stops at the first error
+ * of its own (a header, a truncation), then drains the pool and exits
+ * through GPUPM_FATAL with the earliest error in file order, as
+ * "tree N: <message>" (N counts the stream's trees from 0), so the
+ * report never depends on which piece parsed first. A forest or
+ * section header error is reported only when no earlier tree failed.
+ */
+class ForestLoader
+{
+  public:
+    /** Node-line text per parse task. */
+    static constexpr std::size_t kPieceBytes = 32 * 1024;
+
+    ForestLoader();
+    /** Drains the pool; call finish() to collect the forests. */
+    ~ForestLoader();
+
+    ForestLoader(const ForestLoader &) = delete;
+    ForestLoader &operator=(const ForestLoader &) = delete;
+
+    /**
+     * Read one "forest trees <n>" section and queue its trees for
+     * parsing. @p out must outlive finish(), which fills it.
+     */
+    void read(std::istream &is, RandomForest &out);
+
+    /**
+     * Exit with @p message, a header error at the reader's position,
+     * unless an earlier tree failed: then with that tree's error.
+     */
+    [[noreturn]] void fail(const std::string &message);
+
+    /**
+     * Wait for every queued piece, then move the trees into the
+     * forests passed to read(); fatal on error. Ends the loader.
+     */
+    void finish();
+
+  private:
+    struct Piece
+    {
+        std::size_t tree = 0; ///< Index in _trees.
+        std::string error;
+    };
+    struct Section
+    {
+        RandomForest *forest;
+        std::size_t first;
+        std::size_t count;
+    };
+
+    /** Queue the parse of @p text into @p nodes. */
+    void post(std::size_t tree, std::string *text,
+              std::span<DecisionTree::Node> nodes);
+    /** A cleared text buffer; waits while every buffer is in flight. */
+    std::string *takeBuffer();
+    /** Drain the pool, then exit with the earliest error, if any. */
+    void reportErrors();
+
+    std::unique_ptr<exec::ThreadPool> _pool;
+    /** Trees and pieces in file order; deques, so queued tasks'
+     *  elements stay put while the reader appends. */
+    std::deque<DecisionTree> _trees;
+    std::deque<Piece> _pieces;
+    std::vector<Section> _sections;
+
+    std::mutex _mutex;
+    std::condition_variable _returned;
+    std::vector<std::unique_ptr<std::string>> _buffers;
+    std::vector<std::string *> _free;
 };
 
 } // namespace gpupm::ml

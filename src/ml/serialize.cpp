@@ -39,15 +39,23 @@ loadRandomForest(std::istream &is)
                     "; retrain instead of loading");
     }
 
-    auto expect_target = [&](const std::string &name) {
-        std::string t, n;
-        if (!(is >> t >> n) || t != "target" || n != name)
-            GPUPM_FATAL("expected 'target ", name, "' section");
-    };
-    expect_target("time");
-    RandomForest time_forest = RandomForest::load(is);
-    expect_target("power");
-    RandomForest power_forest = RandomForest::load(is);
+    // One loader for both forests, so the power forest's trees are cut
+    // while the time forest's still parse. It is gone, and its text
+    // buffers with it, before the arenas compile.
+    RandomForest time_forest, power_forest;
+    {
+        ForestLoader loader;
+        auto expect_target = [&](const std::string &name) {
+            std::string t, n;
+            if (!(is >> t >> n) || t != "target" || n != name)
+                loader.fail("expected 'target " + name + "' section");
+        };
+        expect_target("time");
+        loader.read(is, time_forest);
+        expect_target("power");
+        loader.read(is, power_forest);
+        loader.finish();
+    }
 
     return std::make_unique<RandomForestPredictor>(
         std::move(time_forest), std::move(power_forest));

@@ -14,6 +14,12 @@
  *   tree <nodes>
  *   <feature> <threshold> <left> <right> <value>   (one per node)
  *   ...
+ *
+ * Loading is parallel (ForestLoader in random_forest.hpp): the calling
+ * thread reads the headers and cuts the node lines into pieces, a
+ * transient pool parses and validates them, and the two FlatForest
+ * arenas then compile concurrently. The result, and the error a corrupt
+ * stream exits with, do not depend on the thread count.
  */
 
 #pragma once
@@ -32,7 +38,9 @@ void saveRandomForest(const RandomForestPredictor &predictor,
 /**
  * Read a predictor previously written by saveRandomForest.
  * Fatal on malformed input or feature-count mismatch (a model trained
- * against a different feature schema must not be loaded silently).
+ * against a different feature schema must not be loaded silently); a
+ * corrupt tree is reported as "tree N: <message>", the earliest in file
+ * order when several are corrupt.
  */
 std::unique_ptr<RandomForestPredictor> loadRandomForest(std::istream &is);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <future>
 
 #include "common/logging.hpp"
 #include "exec/sweep.hpp"
@@ -34,12 +35,19 @@ RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
                                              RandomForest power_forest,
                                              SimdMode simd)
     : _time(std::move(time_forest)), _power(std::move(power_forest)),
-      _timeFlat(FlatForest::compile(_time)),
-      _powerFlat(FlatForest::compile(_power)), _simd(simd),
+      _timeFlat(FlatForest::reserve(_time)),
+      _powerFlat(FlatForest::reserve(_power)), _simd(simd),
       _instanceId(nextPredictorInstanceId())
 {
     GPUPM_ASSERT(_time.fitted() && _power.fitted(),
                  "predictor needs fitted forests");
+    // The arenas are independent, and both are allocated above (see
+    // FlatForest::reserve): the power arena builds on a helper thread
+    // while this one builds the time arena.
+    auto power = std::async(std::launch::async,
+                            [this] { _powerFlat.build(_power); });
+    _timeFlat.build(_time);
+    power.get();
     _timeFlat.setSimdMode(simd);
     _powerFlat.setSimdMode(simd);
 }

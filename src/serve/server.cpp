@@ -480,14 +480,14 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
     out.metrics = server.metrics();
     out.degradedDecisions =
         out.metrics.counter("serve.shed_degraded_decisions");
+    out.capLimitedDecisions =
+        out.metrics.counter("powercap.cap_limited_decisions");
     out.capViolations = out.metrics.counter("powercap.violations");
     out.arbiterTicks = out.metrics.counter("powercap.arbiter_ticks");
     out.deadlineMisses = out.metrics.counter("serve.deadline_misses");
     server.stop();
     for (Slot &slot : slots) {
         out.decisions += slot.records.size();
-        for (const trace::DecisionRecord &rec : slot.records)
-            out.capLimitedDecisions += rec.capLimited ? 1 : 0;
         out.trace.insert(out.trace.end(),
                          std::make_move_iterator(slot.records.begin()),
                          std::make_move_iterator(slot.records.end()));

@@ -312,8 +312,9 @@ struct FleetResult
     /** Decisions served on the shed fast path (fail-safe config);
      *  the serve.shed_degraded_decisions counter. */
     std::size_t degradedDecisions = 0;
-    /** Decisions where the cap altered the choice (fail-safe swap). */
-    std::size_t capLimitedDecisions = 0;
+    /** Decisions where the cap altered the choice (fail-safe swap);
+     *  powercap.cap_limited_decisions. */
+    std::uint64_t capLimitedDecisions = 0;
     /** Measured-power-over-cap decisions; powercap.violations. */
     std::uint64_t capViolations = 0;
     /** Arbiter re-split ticks over the run; powercap.arbiter_ticks. */

@@ -150,6 +150,15 @@ Session::step(bool degraded)
         out.tag = made.tag;
         out.evaluations = made.evaluations;
         out.capLimited = made.capLimited;
+        if (made.capLimited && _telemetry) {
+            // Registered on first use, so an uncapped server's
+            // snapshot and Stats frame carry no such entry.
+            if (!_capLimited) {
+                _capLimited =
+                    &_telemetry->counter("powercap.cap_limited_decisions");
+            }
+            _capLimited->add();
+        }
     }
     out.configIndex = hw::denseConfigIndex(decision.config);
 

@@ -184,6 +184,8 @@ class Session
     SessionOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;
+    /** powercap.cap_limited_decisions, once this session counted one. */
+    telemetry::Counter *_capLimited = nullptr;
 
     Throughput _target = 0.0;
     /** Turbo-baseline wall time (the deadline QoS reference). */

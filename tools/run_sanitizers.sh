@@ -5,10 +5,11 @@
 #
 #   tools/run_sanitizers.sh -R 'ThreadPool|SweepDeterminism|Fuzz'
 #
-# or just the inference engine's suites (-R matches gtest suite names,
+# or just the inference engine's suites and the parallel model load
+# (-R matches gtest suite names,
 # e.g. FlatForest.FuzzBitIdenticalToScalar, not test file names):
 #
-#   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer|PredictorTable|DecisionAllocation'
+#   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer|PredictorTable|DecisionAllocation|ModelLoad'
 #
 # or the fleet-serving path (request queue, broker, the shared
 # prediction tables, sharded server, shed controller, wire protocol and
