@@ -3,17 +3,18 @@
  * google-benchmark throughput study of the fleet decision server
  * (serve::runFleet).
  *
- * BM_FleetServed runs the server's default configuration: the
- * fleet-shared kernel prediction table plus cross-session batched
- * FlatForest walks. There is no uncached baseline to hold it against:
- * with the session cache off (kernelCacheCap = 0) every decision still
- * reaches the predictor's own prediction table. Every configuration
- * produces byte-identical traces (pinned by test_fleet_determinism).
+ * BM_FleetServed runs the server's one configuration: every session's
+ * governor scores candidates through the shared Random Forest, whose
+ * own prediction table memoizes them for all sessions. The forest is
+ * built once per process and retains its table across iterations, so
+ * after the first iteration the table is warm and the benchmark
+ * measures steady-state serving (governors, sessions, queues and table
+ * hits), not forest walks. Every configuration produces byte-identical
+ * traces (pinned by test_fleet_determinism).
  *
  * Two sharded studies ride on the same workload: BM_FleetSharded
  * splits the 64-session fleet over tenant-hash shards (per-shard
- * session managers, brokers and queues, drained by one work-stealing
- * pool), and BM_FleetMassive holds a 100k-session synthetic fleet with
+ * session managers and queues, drained by one work-stealing pool), and BM_FleetMassive holds a 100k-session synthetic fleet with
  * overload shedding enabled - the scale study behind the "Fleet
  * serving" numbers in README/DESIGN. Every benchmark stamps decision
  * latency percentiles (latency_p50/p95/p99_ns) and the massive run its
@@ -61,8 +62,8 @@ fleet(std::size_t sessions)
 {
     serve::FleetOptions opts;
     // Regular repeating benchmarks: the serving workload the prediction
-    // tables are designed for. Sessions interleave on the workers;
-    // both the server's table and the predictor's own keep hitting.
+    // table is designed for. Sessions interleave on the workers and
+    // keep hitting the predictor's table.
     opts.apps = {"mandelbulbGPU", "NBody"};
     opts.sessionCount = sessions;
     opts.cpuPhaseJitter = 0.3;
@@ -79,10 +80,6 @@ report(benchmark::State &state, const serve::FleetResult &last,
     state.counters["decisions_per_s"] = benchmark::Counter(
         static_cast<double>(state.iterations() * decisions),
         benchmark::Counter::kIsRate);
-    const auto it =
-        last.metrics.histograms.find("broker.batch_requests");
-    state.counters["batch_mean_requests"] =
-        it != last.metrics.histograms.end() ? it->second.mean : 1.0;
     const auto lat = bench::LatencySummary::fromSnapshot(
         last.metrics, "serve.decision_latency_ns");
     state.counters["latency_p50_ns"] = lat.p50;
@@ -95,19 +92,15 @@ report(benchmark::State &state, const serve::FleetResult &last,
             : 0.0;
 }
 
-/**
- * The fleet server's default path: the fleet-shared prediction table,
- * misses coalesced across sessions by the inference broker.
- */
+/** The fleet server on the served workload, one shard. */
 void
 BM_FleetServed(benchmark::State &state)
 {
     const auto sessions = static_cast<std::size_t>(state.range(0));
     auto opts = fleet(sessions);
-    // Eight workers regardless of core count: on a small host the
-    // oversubscription costs nothing (decisions time-slice) and keeps
-    // several decisions in flight, which is what lets the broker
-    // coalesce their evaluations (see batch_mean_requests).
+    // Eight workers regardless of core count, as in the committed
+    // baseline: on a small host the oversubscription costs little
+    // (decisions time-slice).
     opts.server.jobs = 8;
 
     forest(); // train outside the timed region
@@ -125,11 +118,10 @@ BENCHMARK(BM_FleetServed)
 
 /**
  * The sharded server on the served workload: tenant-hash shards split
- * the session-manager and broker locks, the one pool work-steals
+ * the session-manager locks and queues, the one pool work-steals
  * across shard queues. Args are {shards, jobs} at a fixed 64
- * sessions - on a single-core host the winning config trades worker
- * oversubscription (broker coalescing) against context-switch cost,
- * so both axes are in the committed baseline.
+ * sessions - worker oversubscription trades against context-switch
+ * cost, so both axes are in the committed baseline.
  */
 void
 BM_FleetSharded(benchmark::State &state)
@@ -170,7 +162,6 @@ BM_FleetMassive(benchmark::State &state)
     opts.syntheticKernels = 2;
     opts.seed = 0x90d1ULL;
     opts.session.optimizedRuns = 1;
-    opts.session.kernelCacheCap = 2;
     opts.server.jobs = 8;
     opts.server.shards = 8;
     opts.server.shed.enabled = true;

@@ -5,13 +5,13 @@
  *
  * Two claims are measured:
  *
- *  1. Swap pause (BM_BrokerEvaluate): publication is one atomic store,
- *     so a publish storm racing broker flushes must not block or slow
- *     evaluation. The swapstorm:1 variant runs a thread republishing
- *     generations as fast as it can while clients evaluate; the
- *     blocked_evaluates counter - evaluations that took refit-scale
- *     time (> 50 ms) - has a target of ZERO, and throughput should
- *     match swapstorm:0 within noise.
+ *  1. Swap pause (BM_AdaptivePredictBatch): publication is one atomic
+ *     store, so a publish storm racing AdaptivePredictor::predictBatch
+ *     must not block or slow it. The swapstorm:1 variant runs a thread
+ *     republishing generations as fast as it can while the client
+ *     scores a kernel; the blocked_evaluates counter - batches that
+ *     took refit-scale time (> 50 ms) - has a target of ZERO, and
+ *     throughput should match swapstorm:0 within noise.
  *
  *  2. Accuracy recovery (BM_FleetAdaptsToShift): the fleet runs on
  *     hardware whose DRAM bus is a quarter the width the forest was
@@ -41,11 +41,13 @@
 #include <vector>
 
 #include "bench_simd_main.hpp"
-#include "common/rng.hpp"
+#include "hw/config.hpp"
+#include "kernel/perf_model.hpp"
 #include "ml/trainer.hpp"
+#include "online/adaptive_predictor.hpp"
 #include "online/forest_handle.hpp"
-#include "serve/broker.hpp"
 #include "serve/server.hpp"
+#include "workload/training.hpp"
 #include "trace/decision.hpp"
 
 using namespace gpupm;
@@ -84,23 +86,31 @@ altForest()
 }
 
 /**
- * Broker evaluation throughput, optionally under a publish storm
- * (state.range(0) != 0). Single client thread - the metric is per-call
- * latency of the flush path, not queueing effects.
+ * Adaptive predictBatch throughput, optionally under a publish storm
+ * (state.range(0) != 0). Single client thread scoring one kernel
+ * against kConfigs configs - the metric is per-call latency of the
+ * generation pickup and table path, not queueing effects. Both
+ * generations' tables warm within the first iterations, so a swap
+ * costs one front miss per generation, never a forest walk.
  */
 void
-BM_BrokerEvaluate(benchmark::State &state)
+BM_AdaptivePredictBatch(benchmark::State &state)
 {
-    constexpr std::size_t kRows = 16;
+    constexpr std::size_t kConfigs = 16;
     online::ForestHandle handle(forest());
-    serve::InferenceBroker broker(handle);
+    const online::AdaptivePredictor adaptive(handle);
 
-    std::vector<ml::FeatureVector> rows(kRows);
-    Pcg32 rng(0xbe7cULL, 0x5eedULL | 1);
-    for (auto &f : rows)
-        for (auto &v : f)
-            v = rng.uniform(0.0, 1.0);
-    std::vector<double> tl(kRows), gp(kRows);
+    const kernel::GroundTruthModel truth{hw::ApuParams::defaults()};
+    const hw::ConfigSpace space;
+    const auto k = workload::trainingCorpus(1, 0xbe7cULL)[0];
+    const auto &c0 = space.at(0);
+    ml::PredictionQuery q;
+    q.counters = truth.counters(k, c0, truth.estimate(k, c0));
+    q.instructions = k.instructions();
+    std::vector<hw::HwConfig> cfgs;
+    for (std::size_t i = 0; i < kConfigs; ++i)
+        cfgs.push_back(space.at(i * 7 % space.size()));
+    std::vector<ml::Prediction> out(kConfigs);
 
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> publishes{0};
@@ -121,17 +131,16 @@ BM_BrokerEvaluate(benchmark::State &state)
     }
 
     std::uint64_t blocked = 0;
-    serve::InferenceBroker::DecisionScope scope(broker);
     for (auto _ : state) {
         const auto t0 = std::chrono::steady_clock::now();
-        broker.evaluate(rows, tl, gp);
+        adaptive.predictBatch(q, cfgs, out);
         const auto dt = std::chrono::steady_clock::now() - t0;
-        // Refit-scale pause (a flush waiting out a retrain/publish):
+        // Refit-scale pause (a batch waiting out a retrain/publish):
         // must never happen. The bound is far above scheduler jitter on
         // a loaded single-core host but far below any forest refit.
         if (dt > std::chrono::milliseconds(50))
             ++blocked;
-        benchmark::DoNotOptimize(tl.data());
+        benchmark::DoNotOptimize(out.data());
     }
 
     stop.store(true, std::memory_order_release);
@@ -139,12 +148,12 @@ BM_BrokerEvaluate(benchmark::State &state)
         storm.join();
 
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kRows));
+        static_cast<std::int64_t>(state.iterations() * kConfigs));
     state.counters["blocked_evaluates"] =
         static_cast<double>(blocked);
     state.counters["publishes"] = static_cast<double>(publishes.load());
 }
-BENCHMARK(BM_BrokerEvaluate)
+BENCHMARK(BM_AdaptivePredictBatch)
     ->Arg(0)
     ->Arg(1)
     ->ArgName("swapstorm")

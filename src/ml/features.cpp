@@ -4,7 +4,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "common/logging.hpp"
 #include "hw/model.hpp"
 
 namespace gpupm::ml {
@@ -55,33 +54,6 @@ FeatureVector
 makeFeatures(const kernel::KernelCounters &k, const hw::HwConfig &c)
 {
     return combineFeatures(makeKernelFeatures(k), makeConfigFeatures(c));
-}
-
-const ConfigFeatures &
-configFeatures(const hw::HwConfig &c)
-{
-    // Dense table over every representable config; ~63 KB, built once
-    // (thread-safe function-local static).
-    static const std::vector<ConfigFeatures> table = [] {
-        std::vector<ConfigFeatures> t;
-        t.reserve(hw::denseConfigCount);
-        for (int cpu = 0; cpu < hw::numCpuPStates; ++cpu) {
-            for (int nb = 0; nb < hw::numNbPStates; ++nb) {
-                for (int gpu = 0; gpu < hw::numGpuPStates; ++gpu) {
-                    for (int cus = 1; cus <= 8; ++cus) {
-                        t.push_back(makeConfigFeatures(
-                            {static_cast<hw::CpuPState>(cpu),
-                             static_cast<hw::NbPState>(nb),
-                             static_cast<hw::GpuPState>(gpu), cus}));
-                    }
-                }
-            }
-        }
-        return t;
-    }();
-    GPUPM_ASSERT(c.cus >= 1 && c.cus <= 8, "CU count ", c.cus,
-                 " outside the representable range");
-    return table[hw::denseConfigIndex(c)];
 }
 
 const std::vector<std::string> &

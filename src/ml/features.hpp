@@ -69,14 +69,6 @@ ConfigFeatures makeConfigFeatures(const hw::ApuParams &params,
 FeatureVector combineFeatures(const KernelFeatures &k,
                               const ConfigFeatures &c);
 
-/**
- * Precomputed makeConfigFeatures for every representable HwConfig
- * (7 CPU x 4 NB x 5 GPU states x CU counts 1..8), built once at first
- * use. Saves the per-candidate rail-voltage solve and divisions on the
- * hot path; bit-identical to makeConfigFeatures.
- */
-const ConfigFeatures &configFeatures(const hw::HwConfig &c);
-
 /** Feature names aligned with makeFeatures() (for diagnostics). */
 const std::vector<std::string> &featureNames();
 

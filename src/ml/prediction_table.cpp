@@ -8,10 +8,9 @@
 
 namespace gpupm::ml {
 
-PredictionTable::Entry::Entry(std::uint64_t forest,
-                              hw::HardwareModelPtr model,
+PredictionTable::Entry::Entry(hw::HardwareModelPtr model,
                               const kernel::KernelCounters &counters)
-    : forest(forest), model(std::move(model)), counters(counters),
+    : model(std::move(model)), counters(counters),
       kernelFeatures(makeKernelFeatures(counters)),
       proxy(instructionProxy(counters)), _memo(hw::denseConfigCount),
       _known(new std::atomic<std::uint8_t>[hw::denseConfigCount]())
@@ -49,7 +48,7 @@ PredictionTable::Key::operator==(const Key &o) const
 {
     // Exact counter bits, as a kernel relaunch reproduces them (value
     // equality would merge -0.0 with 0.0 and never match a NaN).
-    return forest == o.forest && model == o.model &&
+    return model == o.model &&
            std::memcmp(&counters, &o.counters, sizeof(counters)) == 0;
 }
 
@@ -59,18 +58,17 @@ PredictionTable::KeyHash::operator()(const Key &k) const
     std::uint64_t words[sizeof(k.counters) / sizeof(std::uint64_t)];
     static_assert(sizeof(words) == sizeof(k.counters));
     std::memcpy(words, &k.counters, sizeof(words));
-    std::uint64_t h = exec::mix64(
-        k.forest ^ reinterpret_cast<std::uintptr_t>(k.model));
+    std::uint64_t h =
+        exec::mix64(reinterpret_cast<std::uintptr_t>(k.model));
     for (const std::uint64_t w : words)
         h = exec::mix64(h ^ w);
     return static_cast<std::size_t>(h);
 }
 
-PredictionTable::PredictionTable(std::size_t retain) : _retained(retain) {}
+PredictionTable::PredictionTable() : _retained(kRetained) {}
 
 std::shared_ptr<PredictionTable::Entry>
-PredictionTable::acquire(std::uint64_t forest,
-                         const hw::HardwareModelPtr &model,
+PredictionTable::acquire(const hw::HardwareModelPtr &model,
                          const kernel::KernelCounters &counters)
 {
     std::lock_guard lock(_mutex);
@@ -82,19 +80,17 @@ PredictionTable::acquire(std::uint64_t forest,
         _pruneAt = std::max<std::size_t>(64, 2 * _entries.size());
     }
     auto [it, inserted] =
-        _entries.try_emplace(Key{forest, model.get(), counters});
+        _entries.try_emplace(Key{model.get(), counters});
     if (!inserted) {
         if (auto live = it->second.lock())
             return live;
     }
-    auto entry = std::make_shared<Entry>(forest, model, counters);
+    auto entry = std::make_shared<Entry>(model, counters);
     it->second = entry;
-    if (!_retained.empty()) {
-        // The oldest retained entry dies here unless a caller still
-        // holds it.
-        _retained[_retainNext] = entry;
-        _retainNext = (_retainNext + 1) % _retained.size();
-    }
+    // The oldest retained entry dies here unless a caller still holds
+    // it.
+    _retained[_retainNext] = entry;
+    _retainNext = (_retainNext + 1) % kRetained;
     return entry;
 }
 

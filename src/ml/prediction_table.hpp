@@ -7,20 +7,17 @@
  * config descriptors fed the rows, kernel counters, config), and the
  * MPC premise is kernels relaunching with identical counters, so
  * steady-state decisions mostly re-request pairs already computed.
- * One Entry per (forest, model, counter bits) key holds a slot for
- * every dense config index; whoever walks the forests for a slot
- * publishes the value there, and every later request for it - from
- * any thread - is a load.
+ * One Entry per (model, counter bits) key holds a slot for every dense
+ * config index; whoever walks the forests for a slot publishes the
+ * value there, and every later request for it - from any thread - is a
+ * load.
  *
- * Two owners use it:
- *
- *  - RandomForestPredictor keeps one table for its in-process
- *    predictBatch path (gpupm run/sweep, replay, the benches). The
- *    table retains its newest entries itself, so a kernel scored by
- *    one sweep job is still warm for the next job of the same app;
- *  - each serve::FleetServer keeps one table shared by its sessions,
- *    which hold entries through their own LRUs (no retention: an
- *    entry lives exactly as long as some session holds it).
+ * Every table belongs to exactly one RandomForestPredictor, so the
+ * forests are implied by the owner and are not part of the key. The
+ * predictor's predictBatch is the only writer, for every caller: gpupm
+ * run/sweep, replay, the benches and each fleet session's governor.
+ * The table retains its newest kRetained entries itself, so a kernel
+ * scored by one sweep job or tenant is still warm for the next.
  *
  * Threading: lookups in the key map take the table mutex; an entry's
  * slots are published with release stores (fills serialize on the
@@ -45,24 +42,25 @@
 namespace gpupm::ml {
 
 /**
- * Predictions keyed on everything they depend on: the forests that
- * produced them, the hardware model whose config descriptors fed the
- * rows, and the kernel's exact counter bits. Thread-safe; never
- * process-global (every owner keeps its own instance).
+ * One predictor's predictions, keyed on the hardware model whose config
+ * descriptors fed the rows and the kernel's exact counter bits.
+ * Thread-safe; never process-global.
  */
 class PredictionTable
 {
   public:
-    /** One kernel's memo under one (forest, model). */
+    /** Entries the table keeps alive itself (~19 KB each): the most
+     *  recently created ones. A sweep of the paper's 15 benchmarks
+     *  creates a few hundred. */
+    static constexpr std::size_t kRetained = 1024;
+
+    /** One kernel's memo under one hardware model. */
     class Entry
     {
       public:
-        Entry(std::uint64_t forest, hw::HardwareModelPtr model,
+        Entry(hw::HardwareModelPtr model,
               const kernel::KernelCounters &counters);
 
-        /** Forest identity: predictor instanceId, or the generation
-         *  ordinal under online learning. */
-        const std::uint64_t forest;
         /** Held by reference: the model cannot be freed and its address
          *  reused while an entry keyed on it lives. */
         const hw::HardwareModelPtr model;
@@ -85,16 +83,10 @@ class PredictionTable
         std::unique_ptr<std::atomic<std::uint8_t>[]> _known;
     };
 
-    /**
-     * @param retain Entries the table keeps alive itself, the most
-     *        recently created ones (0 = none: an entry then lives only
-     *        while some caller holds it).
-     */
-    explicit PredictionTable(std::size_t retain = 0);
+    PredictionTable();
 
     /** The live entry for the key, created when none is. */
-    std::shared_ptr<Entry> acquire(std::uint64_t forest,
-                                   const hw::HardwareModelPtr &model,
+    std::shared_ptr<Entry> acquire(const hw::HardwareModelPtr &model,
                                    const kernel::KernelCounters &counters);
 
     /** Entries the table retains or some caller still holds. */
@@ -103,7 +95,6 @@ class PredictionTable
   private:
     struct Key
     {
-        std::uint64_t forest;
         /** Valid only while the entry lives (the entry pins it). */
         const hw::HardwareModel *model;
         kernel::KernelCounters counters;
@@ -118,7 +109,7 @@ class PredictionTable
     std::unordered_map<Key, std::weak_ptr<Entry>, KeyHash> _entries;
     /** Map size at which the next insert sweeps expired slots. */
     std::size_t _pruneAt = 64;
-    /** Ring of the newest created entries (size = retain). */
+    /** Ring of the newest created entries. */
     std::vector<std::shared_ptr<Entry>> _retained;
     std::size_t _retainNext = 0;
 };

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "hw/config.hpp"
+#include "hw/model.hpp"
 #include "hw/params.hpp"
 #include "kernel/counters.hpp"
 #include "kernel/kernel.hpp"
@@ -36,6 +37,13 @@ struct PredictionQuery
      * driven predictors such as the Random Forest must ignore it.
      */
     const kernel::KernelParams *groundTruth = nullptr;
+    /**
+     * Hardware model whose config descriptors feed a counter-driven
+     * predictor's rows: governors set their own, so a candidate is
+     * scored in the governed part's feature scaling. Null means the
+     * catalog's "paper-apu".
+     */
+    hw::HardwareModelPtr model;
 };
 
 /** Predictor output. */

@@ -94,9 +94,9 @@ constexpr std::size_t kSpecializeMissThreshold = 48;
  * instanceId. A governor decision scores the kernels of its horizon
  * window one after another (each climb is one batch plus single-config
  * steps), so a front a few windows deep serves nearly every request
- * without the table mutex. A handle keeps its entry alive after the
- * table drops it; it never matches another predictor, because instance
- * ids are never reused.
+ * without the table mutex. A handle keeps its entry (and its model)
+ * alive after the table drops it; it never matches another predictor,
+ * because instance ids are never reused.
  */
 struct EntryFront
 {
@@ -114,11 +114,12 @@ struct EntryFront
     std::size_t last = 0; ///< Slot of the last hit, checked first.
 
     PredictionTable::Entry *
-    find(std::uint64_t owner, const kernel::KernelCounters &counters)
+    find(std::uint64_t owner, const hw::HardwareModel *model,
+         const kernel::KernelCounters &counters)
     {
         // Exact counter bits, like the table key.
         const auto matches = [&](const Slot &s) {
-            return s.owner == owner &&
+            return s.owner == owner && s.entry->model.get() == model &&
                    std::memcmp(&counters, &s.entry->counters,
                                sizeof(counters)) == 0;
         };
@@ -149,6 +150,15 @@ struct EntryFront
     }
 };
 
+/** The model a query without one is scored on; a reference, so the
+ *  hot path never touches the handle's shared count. */
+const hw::HardwareModelPtr &
+paperModel()
+{
+    static const hw::HardwareModelPtr model = hw::paperApu();
+    return model;
+}
+
 } // namespace
 
 void
@@ -164,25 +174,24 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     trace::Span span(trace::Category::Ml, "ml.predictBatch", "configs",
                      static_cast<double>(n));
 
+    const hw::HardwareModelPtr &model = q.model ? q.model : paperModel();
     thread_local EntryFront front;
-    PredictionTable::Entry *entry = front.find(_instanceId, q.counters);
-    if (!entry && n >= 2) {
-        entry = front.hold(_instanceId,
-                           _table.acquire(_instanceId, hw::paperApu(),
-                                          q.counters));
-    }
+    PredictionTable::Entry *entry =
+        front.find(_instanceId, model.get(), q.counters);
+    if (!entry && n >= 2)
+        entry = front.hold(_instanceId, _table.acquire(model, q.counters));
 
     if (!entry) {
         // Cold single query (n >= 2 always claims an entry). Routed
         // through the flat engines - not the scalar recursive walk -
         // so the answer comes from the *same* engine (and, in a
         // quantized mode, the same rounding) as the batched paths:
-        // a prediction must be a pure function of (counters, config,
-        // mode), never of cache state. Bit-identical to the recursive
-        // walk in scalar mode.
+        // a prediction must be a pure function of (counters, model,
+        // config, mode), never of cache state. Bit-identical to the
+        // recursive walk in scalar mode.
         const auto kf = makeKernelFeatures(q.counters);
         const double proxy = instructionProxy(q.counters);
-        const auto f = combineFeatures(kf, configFeatures(cs[0]));
+        const auto f = combineFeatures(kf, model->descriptor(cs[0]));
         // Trained on log(seconds per instruction); scale back up by
         // the counter-derived instruction proxy.
         out[0].time = std::exp(_timeFlat.predict(f)) * proxy;
@@ -215,7 +224,7 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
     for (std::size_t j = 0; j < m; ++j) {
         dense[j] = hw::denseConfigIndex(cs[miss[j]]);
         feats[j] = combineFeatures(entry->kernelFeatures,
-                                   configFeatures(cs[miss[j]]));
+                                   model->descriptorAt(dense[j]));
     }
     if (m >= kSpecializeMissThreshold) {
         // Residual trees split on config features alone and return the

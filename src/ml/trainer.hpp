@@ -37,7 +37,7 @@ double instructionProxy(const kernel::KernelCounters &c);
  * Construction compiles both fitted forests into FlatForest arenas;
  * all inference - scalar and batched - runs on the flat engine, with
  * the kernel-feature prefix computed once per query and the config
- * suffix served from the precomputed table. Results are bit-identical
+ * suffix served from the hardware model's descriptor table. Results are bit-identical
  * to evaluating the retained scalar forests via makeFeatures.
  *
  * predictBatch memoizes finished predictions in one PredictionTable
@@ -48,12 +48,6 @@ double instructionProxy(const kernel::KernelCounters &c);
 class RandomForestPredictor : public PerfPowerPredictor
 {
   public:
-    /**
-     * Entries the prediction table keeps alive (~19 KB each). A sweep
-     * of the paper's 15 benchmarks creates a few hundred.
-     */
-    static constexpr std::size_t kTableEntries = 1024;
-
     /**
      * @param simd Inference engine for both compiled forests (see
      * simd.hpp). Fixed for the predictor's lifetime so memoized
@@ -69,38 +63,41 @@ class RandomForestPredictor : public PerfPowerPredictor
 
     /**
      * Scores one kernel against many configs, serving memoized configs
-     * from the predictor's table. Every multi-config batch claims the
-     * kernel's entry (keyed on instanceId(), the paper model - rows use
-     * configFeatures - and the exact counter bits); a single query
-     * reads an entry the calling thread already holds and otherwise
-     * walks the forests without claiming one, so model-evaluation
-     * sweeps of single queries leave the table alone. Each thread keeps
-     * its most recently used entries in a small front, so a hit takes
-     * no lock; only a front miss takes the table mutex. Misses walk the
-     * full forests, or, when one batch misses as many configs as an
-     * exhaustive scan does, residual forests specialized for the kernel
-     * and dropped after the batch. Every path returns the same bits, so a
-     * value is a pure function of (counters, config, SIMD mode),
-     * whichever thread filled the slot.
+     * from the predictor's table. Every row is the kernel's feature
+     * prefix plus q.model's descriptor of the config (paper-apu when
+     * q.model is null), so a governor scores candidates in its own
+     * part's feature scaling. Every multi-config batch claims the
+     * kernel's entry (keyed on that model and the exact counter bits);
+     * a single query reads an entry the calling thread already holds
+     * and otherwise walks the forests without claiming one, so
+     * model-evaluation sweeps of single queries leave the table alone.
+     * Each thread keeps its most recently used entries in a small
+     * front, so a hit takes no lock; only a front miss takes the table
+     * mutex. Misses walk the full forests, or, when one batch misses as
+     * many configs as an exhaustive scan does, residual forests
+     * specialized for the kernel and dropped after the batch. Every
+     * path returns the same bits, so a value is a pure function of
+     * (counters, model, config, SIMD mode), whichever thread filled
+     * the slot.
      */
     void predictBatch(const PredictionQuery &q,
                       std::span<const hw::HwConfig> cs,
                       std::span<Prediction> out) const override;
 
     /**
-     * Broker hook: raw forest outputs for prebuilt feature rows that
-     * may mix *different kernels* in one batch. predictBatch scores one
-     * kernel against many configs; an inference broker coalescing
-     * requests from many concurrent sessions needs the transpose - many
-     * (kernel, config) rows walked tree-major in a single pass. Each
-     * row is combineFeatures(makeKernelFeatures(counters),
-     * configFeatures(config)); time_log[i] receives the time forest's
-     * log(seconds-per-instruction) output (callers scale by
-     * std::exp(time_log[i]) * instructionProxy(counters)), gpu_power[i]
-     * the power forest's Watts. Per-row results are bit-identical to
-     * predict()/predictBatch() on the same (counters, config): FlatForest
-     * rows are evaluated independently, so batch composition never
-     * changes a result. Stateless and safe to call concurrently.
+     * Raw forest outputs for prebuilt feature rows that may mix
+     * different kernels and configs in one batch, walked tree-major in
+     * a single pass and never memoized: the reference walk that checks
+     * predictBatch's table (the hot-swap fuzz compares every served
+     * batch with it). Each row is combineFeatures(makeKernelFeatures(
+     * counters), model.descriptor(config)); time_log[i] receives the
+     * time forest's log(seconds-per-instruction) output (callers scale
+     * by std::exp(time_log[i]) * instructionProxy(counters)),
+     * gpu_power[i] the power forest's Watts. Per-row results are
+     * bit-identical to predict()/predictBatch() on the same (counters,
+     * model, config): FlatForest rows are evaluated independently, so
+     * batch composition never changes a result. Stateless and safe to
+     * call concurrently.
      */
     void predictRows(std::span<const FeatureVector> rows,
                      std::span<double> time_log,
@@ -122,9 +119,8 @@ class RandomForestPredictor : public PerfPowerPredictor
 
     /**
      * Process-unique identity of this predictor instance. Caches keyed
-     * on the predictor (prediction-table entries and the per-thread
-     * fronts of handles into them) must use this rather than the
-     * object address: online retraining destroys predictors and
+     * on the predictor (the per-thread fronts of handles into its
+     * table) must use this rather than the object address: online retraining destroys predictors and
      * allocates replacements, and a recycled address would validate a
      * stale cache entry against the new forests.
      */
@@ -140,7 +136,7 @@ class RandomForestPredictor : public PerfPowerPredictor
     FlatForest _powerFlat;
     SimdMode _simd;
     std::uint64_t _instanceId;
-    mutable PredictionTable _table{kTableEntries};
+    mutable PredictionTable _table;
 };
 
 /** Training configuration. */

@@ -207,6 +207,7 @@ MpcGovernor::fallbackDecide()
     q.counters = rec.counters;
     q.instructions = rec.instructions;
     q.groundTruth = rec.truth;
+    q.model = _model;
 
     const Seconds headroom = _tracker.headroom(rec.instructions);
     std::size_t best_i = cfgsNone, fastest_i = cfgsNone;
@@ -300,12 +301,15 @@ MpcGovernor::optimizeWindow(std::size_t index, std::size_t horizon)
     std::size_t window_evals = 0;
     std::size_t window_unique = 0;
 
+    // Every window kernel is scored on this governor's model; the query
+    // is built once so the model handle is copied once per decision.
+    ml::PredictionQuery q;
+    q.model = _model;
     for (const auto inv : order) {
         GPUPM_ASSERT(inv >= index && inv < index + ids.size(),
                      "window order out of range");
         auto &rec = _pattern.mutableRecord(ids[inv - index]);
 
-        ml::PredictionQuery q;
         q.counters = rec.counters;
         q.instructions = rec.instructions;
         q.groundTruth = rec.truth;

@@ -2,17 +2,17 @@
  * @file
  * PerfPowerPredictor facade over a hot-swappable ForestHandle.
  *
- * The broker-less paths (gpupm run, a fleet with batching disabled)
- * talk to a PerfPowerPredictor directly; this adapter lets them ride
- * the same RCU publication the broker uses. Each predict/predictBatch
- * call acquires one generation snapshot and evaluates entirely against
- * it, so a single governor decision never mixes generations - the same
- * batch-boundary pickup contract the broker provides per flush.
+ * Governors talk to a PerfPowerPredictor; this adapter lets them ride
+ * the handle's RCU publication, in process and in an online-learning
+ * fleet alike (runFleet hands it to every session). Each
+ * predict/predictBatch call acquires one generation snapshot and
+ * evaluates entirely against it, so one batch never mixes generations;
+ * a publish is picked up at the next batch boundary.
  *
  * Each generation's RandomForestPredictor memoizes into its own
- * prediction table, keyed on its instanceId, so a swap starts from the
- * new predictor's table on the next batch and never serves a value of
- * the outgoing generation.
+ * prediction table (and per-thread fronts key on its instanceId), so a
+ * swap starts from the new predictor's table on the next batch and
+ * never serves a value of the outgoing generation.
  */
 
 #pragma once

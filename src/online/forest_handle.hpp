@@ -7,8 +7,8 @@
  * fleet server keeps serving predictions. The handle is the single
  * synchronization point between the two: a retrain publishes a new
  * immutable ForestGeneration with one atomic store, and readers (the
- * inference broker, session predictors, the adaptive run-path
- * predictor) acquire a snapshot with one atomic load. Nobody blocks,
+ * AdaptivePredictor every governor calls, the learner) acquire a
+ * snapshot with one atomic load. Nobody blocks,
  * ever - there is no reader registration, no grace period to wait out,
  * and no lock on either side; old generations stay alive until the last
  * shared_ptr drops.
@@ -16,10 +16,11 @@
  * Consistency contract: a reader that acquires a generation at a batch
  * boundary and evaluates the whole batch against that snapshot gets
  * results bit-identical to that generation's forests regardless of
- * concurrent publishes (the generation is immutable). Per-kernel memos
- * shared across generations must be keyed by ordinal() so a swap
- * invalidates them (see ml::PredictionTable and serve::SessionPredictor);
- * the hot-swap fuzz test pins both properties.
+ * concurrent publishes (the generation is immutable). Memos are never
+ * shared across generations: each generation's predictor owns its
+ * prediction table, so a swap cannot serve a value of the outgoing
+ * forests (see ml::PredictionTable); the hot-swap fuzz test pins both
+ * properties.
  */
 
 #pragma once

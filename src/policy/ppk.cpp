@@ -46,6 +46,7 @@ PpkGovernor::decide(std::size_t)
     q.counters = _last->counters;
     q.instructions = _last->instructions;
     q.groundTruth = _last->truth;
+    q.model = _model;
 
     const hw::HwConfig *best = nullptr;
     double best_energy = std::numeric_limits<double>::infinity();

@@ -300,8 +300,6 @@ NetServer::eventLoop()
         SessionOptions sopts = _opts.session;
         if (m.optimizedRuns > 0)
             sopts.optimizedRuns = m.optimizedRuns;
-        if (m.kernelCacheCap > 0)
-            sopts.kernelCacheCap = m.kernelCacheCap;
         // v2 extensions; v1 Opens decode with the defaults (empty model
         // name, uniform kind, value 0) and change nothing here.
         if (!m.hwModel.empty()) {

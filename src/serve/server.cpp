@@ -10,6 +10,7 @@
 #include "common/logging.hpp"
 #include "exec/sweep.hpp"
 #include "ml/simd.hpp"
+#include "online/adaptive_predictor.hpp"
 #include "trace/trace.hpp"
 #include "workload/benchmarks.hpp"
 #include "workload/training.hpp"
@@ -23,11 +24,6 @@ FleetServer::FleetServer(
 {
     GPUPM_ASSERT(predictor != nullptr, "fleet server needs a predictor");
     GPUPM_ASSERT(_opts.shards > 0, "fleet server needs at least one shard");
-
-    auto rf = std::dynamic_pointer_cast<const ml::RandomForestPredictor>(
-        predictor);
-    GPUPM_ASSERT(!_opts.forestHandle || rf,
-                 "online learning requires a Random Forest predictor");
 
     if (!_opts.model)
         _opts.model = hw::paperApu();
@@ -47,29 +43,11 @@ FleetServer::FleetServer(
     }
 
     const std::size_t jobs = exec::ThreadPool::resolveJobs(_opts.jobs);
-    // A lone worker can never have two decisions in flight, so the
-    // broker could only ever flush batches of one: every memo miss
-    // would pay the coalescing round trip with nothing to coalesce
-    // (~7% of fleet throughput on the dev host). Route misses straight
-    // at the predictor instead - the trace is invariant either way
-    // (pinned by BatchingOnAndOffProduceTheSameTrace). Online learning
-    // keeps the broker regardless: it is also the generation-following
-    // evaluation point for hot-swapped forests.
-    const bool batch = _opts.batching && (jobs > 1 || _opts.forestHandle);
-
     _shards.resize(_opts.shards);
     for (Shard &shard : _shards) {
-        if (batch && _opts.forestHandle) {
-            shard.broker = std::make_unique<InferenceBroker>(
-                *_opts.forestHandle, _opts.broker, _telemetry.get());
-        } else if (batch && rf) {
-            shard.broker = std::make_unique<InferenceBroker>(
-                rf, _opts.broker, _telemetry.get());
-        }
         shard.sessions = std::make_unique<SessionManager>(
-            predictor, shard.broker.get(), _opts.sessions, _opts.model,
-            _telemetry.get(), _opts.forestHandle, _arbiter.get(),
-            &_table);
+            predictor, _opts.sessions, _opts.model, _telemetry.get(),
+            _arbiter.get());
         shard.queue = std::make_unique<RequestQueue<DecisionRequest>>(
             _opts.queueCapacity);
         shard.shed = std::make_unique<ShedController>(
@@ -206,15 +184,6 @@ FleetServer::workerLoop(std::size_t worker)
         }
         if (worked)
             continue;
-        // No queued requests anywhere: offer to run a loaded shard's
-        // ripening broker flush so its blocked deciders wake sooner.
-        for (std::size_t k = 0; k < nshards && !worked; ++k) {
-            Shard &shard = _shards[(home + k) % nshards];
-            if (shard.broker && shard.broker->stealFlush())
-                worked = true;
-        }
-        if (worked)
-            continue;
         if (auto req = _shards[home].queue->popFor(
                 std::chrono::microseconds(500))) {
             process(*req);
@@ -316,9 +285,10 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
         sopts.sessions.maxSessions =
             std::max(sopts.sessions.maxSessions, opts.sessionCount);
     }
-    // The handle is declared before the server because the server (and
-    // every session memo inside it) reads generations from it for its
-    // whole lifetime.
+    // The handle is declared before the server because every session
+    // governor reads generations from it for the server's whole
+    // lifetime: each predictBatch of the adaptive predictor walks one
+    // generation, whose predictor memoizes into its own table.
     std::optional<online::ForestHandle> handle;
     if (opts.onlineLearn) {
         auto rf =
@@ -327,7 +297,7 @@ runFleet(std::shared_ptr<const ml::PerfPowerPredictor> predictor,
         GPUPM_ASSERT(rf != nullptr,
                      "--online-learn requires a Random Forest predictor");
         handle.emplace(std::move(rf));
-        sopts.forestHandle = &*handle;
+        predictor = std::make_shared<online::AdaptivePredictor>(*handle);
     }
     FleetServer server(std::move(predictor), sopts);
     // Sessions read the sink from the registry at creation; install it

@@ -7,13 +7,14 @@
  * *shards*, keyed by tenant hash: each shard owns its own
  * SessionManager (so checkout-lease acquisition never crosses
  * shards - the former global manager lock was the fleet's
- * serialization point), its own InferenceBroker (per-shard batched
- * forest walks), its own bounded RequestQueue and its own
+ * serialization point), its own bounded RequestQueue and its own
  * ShedController. One exec::ThreadPool drains all shards: a worker's
- * *home* shard is worker % shards, and an idle worker first steals
- * queued requests from sibling shards, then offers to run a loaded
- * shard's broker flush (InferenceBroker::stealFlush), so load
- * imbalance across the tenant hash costs throughput nowhere.
+ * *home* shard is worker % shards, and an idle worker steals queued
+ * requests from sibling shards, so load imbalance across the tenant
+ * hash costs throughput nowhere. Every session's governor scores
+ * candidates through the one predictor the server was given; a Random
+ * Forest memoizes them in its own prediction table, which all shards'
+ * sessions share.
  *
  * Identity is global: session ids come from one server-wide counter,
  * so a tenant's id - and therefore its per-session RNG stream and
@@ -28,10 +29,10 @@
  * shed transitions and degraded decisions are counted in telemetry
  * and marked with tag 'S' in the steps' trace::DecisionRecords.
  *
- * Server metrics (queue depth, decision latency, batch-size
- * histograms, rejected requests, steals, shed, powercap and deadline
- * counters) accumulate in an owned telemetry::Registry, the one place
- * each counter lives: FleetResult, the CLI summaries and the wire
+ * Server metrics (queue depth and decision latency histograms,
+ * rejected requests, steals, shed, powercap and deadline counters)
+ * accumulate in an owned telemetry::Registry, the one place each
+ * counter lives: FleetResult, the CLI summaries and the wire
  * Stats frame are views of its snapshot.
  *
  * runFleet() is the deterministic driver used by the CLI, the golden
@@ -60,7 +61,6 @@
 #include "exec/thread_pool.hpp"
 #include "online/learner.hpp"
 #include "powercap/arbiter.hpp"
-#include "serve/broker.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/session_manager.hpp"
 #include "serve/shed.hpp"
@@ -72,31 +72,20 @@ struct FleetServerOptions
 {
     /** Worker threads draining the shards; 0 = hardware concurrency. */
     std::size_t jobs = 1;
-    /** SessionManager/broker/queue/shed shards (tenant-hash keyed). */
+    /** SessionManager/queue/shed shards (tenant-hash keyed). */
     std::size_t shards = 1;
     /** Per-shard request-queue bound (admission backpressure). */
     std::size_t queueCapacity = 1024;
     /** Per-shard session cap (total capacity = shards * maxSessions). */
     SessionManagerOptions sessions;
-    BrokerOptions broker;
     /** Per-shard overload policy; disabled by default. */
     ShedOptions shed;
-    /** Route RF evaluations through the shared broker. */
-    bool batching = true;
     /**
      * Default hardware model for sessions without their own override
      * (SessionOptions::model / the Open frame's model name); null
      * resolves to the catalog's "paper-apu".
      */
     hw::HardwareModelPtr model;
-    /**
-     * Hot-swap publication point for online learning; null = static
-     * forests. When set, the predictor handed to the server must be
-     * the handle's generation-0 (baseline) Random Forest, the broker
-     * follows published generations, and session memos are
-     * generation-keyed. Must outlive the server.
-     */
-    const online::ForestHandle *forestHandle = nullptr;
     /**
      * Fleet power-cap arbitration; disabled unless
      * powercap.budgetWatts > 0. Sessions register their baseline
@@ -186,15 +175,6 @@ class FleetServer
         return _telemetry->snapshot();
     }
 
-    /**
-     * Shard 0's broker (single-shard diagnostics); null when batching
-     * is off or the predictor is not an RF.
-     */
-    InferenceBroker *broker() { return _shards[0].broker.get(); }
-
-    /** The prediction table every shard's sessions share. */
-    const ml::PredictionTable &predictionTable() const { return _table; }
-
     /** Fleet cap arbiter; null when no budget is configured. */
     powercap::FleetCapArbiter *capArbiter() { return _arbiter.get(); }
     const powercap::FleetCapArbiter *capArbiter() const
@@ -205,7 +185,6 @@ class FleetServer
   private:
     struct Shard
     {
-        std::unique_ptr<InferenceBroker> broker;
         std::unique_ptr<SessionManager> sessions;
         std::unique_ptr<RequestQueue<DecisionRequest>> queue;
         std::unique_ptr<ShedController> shed;
@@ -223,8 +202,6 @@ class FleetServer
     std::unique_ptr<telemetry::Registry> _telemetry;
     /** Declared before the shards: sessions unregister on eviction. */
     std::unique_ptr<powercap::FleetCapArbiter> _arbiter;
-    /** Declared before the shards: sessions hold entries of it. */
-    ml::PredictionTable _table;
     std::vector<Shard> _shards;
     std::unique_ptr<exec::ThreadPool> _pool;
     std::atomic<SessionId> _nextId{1};
@@ -273,8 +250,9 @@ struct FleetOptions
     trace::DecisionSink *decisionSink = nullptr;
     /**
      * Closed-loop online learning: wrap the fleet's Random Forest in a
-     * ForestHandle and interpose an OnlineLearner in the provenance
-     * path. Observe-only until drift sustains (see online::DriftOptions
+     * ForestHandle, serve it through an online::AdaptivePredictor (one
+     * generation per predictBatch) and interpose an OnlineLearner in
+     * the provenance path. Observe-only until drift sustains (see online::DriftOptions
      * in `online`), so a drift-free fleet is byte-identical to a static
      * one - the golden-trace test pins this. Requires an RF predictor.
      */

@@ -12,14 +12,10 @@ namespace gpupm::serve {
 
 Session::Session(SessionId id, workload::Application app,
                  std::shared_ptr<const ml::PerfPowerPredictor> base,
-                 InferenceBroker *broker, const SessionOptions &opts,
-                 hw::HardwareModelPtr model,
+                 const SessionOptions &opts, hw::HardwareModelPtr model,
                  telemetry::Registry *telemetry,
-                 const online::ForestHandle *handle,
-                 powercap::FleetCapArbiter *arbiter,
-                 ml::PredictionTable *table)
-    : _id(id), _app(std::move(app)), _base(std::move(base)),
-      _broker(broker), _forestHandle(handle), _table(table), _opts(opts),
+                 powercap::FleetCapArbiter *arbiter)
+    : _id(id), _app(std::move(app)), _base(std::move(base)), _opts(opts),
       _model(std::move(model)), _telemetry(telemetry),
       _arbiter(arbiter), _thermalCap(opts.thermalCap),
       _apu(_model->params())
@@ -70,13 +66,8 @@ Session::~Session()
 void
 Session::reset()
 {
-    SessionPredictorOptions popts;
-    popts.kernelCacheCap = _opts.kernelCacheCap;
-    _predictor = std::make_shared<SessionPredictor>(
-        _base, _broker, _model, popts, _telemetry, _forestHandle,
-        _table);
-    _governor = std::make_unique<mpc::MpcGovernor>(_predictor, _opts.mpc,
-                                                   _model);
+    _governor =
+        std::make_unique<mpc::MpcGovernor>(_base, _opts.mpc, _model);
     if (_telemetry)
         _governor->setDecisionSink(_telemetry->decisionSink(), _id);
     _run = 0;
@@ -140,12 +131,7 @@ Session::step(bool degraded)
         decision = {_model->failSafe(), 0.0};
         out.tag = 'S';
     } else {
-        if (_broker) {
-            InferenceBroker::DecisionScope scope(*_broker);
-            decision = _governor->decide(i);
-        } else {
-            decision = _governor->decide(i);
-        }
+        decision = _governor->decide(i);
         const trace::DecisionRecord &made = _governor->lastDecision();
         out.tag = made.tag;
         out.evaluations = made.evaluations;

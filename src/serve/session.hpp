@@ -5,12 +5,12 @@
  *
  * A session owns everything one tenant of the fleet server needs: its
  * application trace, its modeled APU (thermal state and platform DVFS
- * config advance within a run), its MpcGovernor (pattern extractor,
- * performance tracker, hill-climb optimizer), and its SessionPredictor
- * (an LRU of handles into the server's shared prediction table,
- * routing misses through the shared broker). Nothing is shared mutably
- * between sessions except the broker, the prediction table and
- * telemetry (all internally synchronized, and a table value is the
+ * config advance within a run) and its MpcGovernor (pattern extractor,
+ * performance tracker, hill-climb optimizer). The governor scores
+ * candidates with the server's predictor as is, on the session's own
+ * hardware model, exactly as Simulator::run would. Nothing is shared
+ * mutably between sessions except the predictor's prediction table and
+ * telemetry (both internally synchronized, and a table value is the
  * same bits whichever session filled it), so sessions are isolated:
  * one session's decisions are bit-identical regardless of what other
  * sessions run - the foundation of the deterministic fleet mode.
@@ -41,8 +41,8 @@
 #include "mpc/governor.hpp"
 #include "powercap/arbiter.hpp"
 #include "powercap/thermal_governor.hpp"
-#include "serve/session_predictor.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/decision.hpp"
 #include "workload/trace.hpp"
 
@@ -57,8 +57,6 @@ struct SessionOptions
     mpc::MpcOptions mpc;
     /** MPC-optimized runs after the PPK profiling run. */
     std::size_t optimizedRuns = 2;
-    /** LRU cap on the session's handles into the prediction table. */
-    std::size_t kernelCacheCap = 32;
     /** Priority weight for the arbiter's weighted split policy. */
     double capWeight = 1.0;
     /** Reactive thermal cap governor (disabled by default). */
@@ -78,28 +76,22 @@ class Session
      * @param id Server-assigned identity, stamped into records.
      * @param app Application trace (the Turbo Core baseline run that
      *        sets the MPC performance target happens here, once).
-     * @param base Shared predictor backing the session's governor.
-     * @param broker Shared broker for batched misses; may be null.
-     * @param telemetry Registry for cache metrics; may be null.
-     * @param handle Hot-swap publication point for online learning;
-     *        null = static forests.
+     * @param base Shared predictor handed to the session's governor
+     *        (under online learning, an online::AdaptivePredictor).
      * @param model Hardware model this session runs on (explicit; a
      *        heterogeneous fleet mixes models across sessions).
      * @param arbiter Fleet cap arbiter; null = no fleet budget. The
      *        session registers itself with its Turbo-baseline mean
      *        power as demand, its model's capFloorWatts as floor, and
      *        unregisters on destruction.
-     * @param table The server's shared prediction table; null gives
-     *        the session a private one.
+     * @param telemetry Registry for session metrics and the decision
+     *        sink; may be null.
      */
     Session(SessionId id, workload::Application app,
             std::shared_ptr<const ml::PerfPowerPredictor> base,
-            InferenceBroker *broker, const SessionOptions &opts,
-            hw::HardwareModelPtr model,
+            const SessionOptions &opts, hw::HardwareModelPtr model,
             telemetry::Registry *telemetry = nullptr,
-            const online::ForestHandle *handle = nullptr,
-            powercap::FleetCapArbiter *arbiter = nullptr,
-            ml::PredictionTable *table = nullptr);
+            powercap::FleetCapArbiter *arbiter = nullptr);
 
     ~Session();
 
@@ -151,14 +143,12 @@ class Session
     }
 
     /**
-     * Discard all learned state (governor, prediction cache, run
-     * progress); the session replays from its profiling run. The Turbo
+     * Discard all learned state (governor, run progress); the session
+     * replays from its profiling run. The Turbo
      * baseline target is kept - it is a property of the app, not of
      * learning.
      */
     void reset();
-
-    const SessionPredictor &predictor() const { return *_predictor; }
 
     /** Turbo-baseline mean chip power (the arbiter's demand signal). */
     Watts baselinePower() const { return _baselinePower; }
@@ -178,9 +168,6 @@ class Session
     SessionId _id;
     workload::Application _app;
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
-    InferenceBroker *_broker;
-    const online::ForestHandle *_forestHandle;
-    ml::PredictionTable *_table;
     SessionOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;
@@ -194,7 +181,6 @@ class Session
     powercap::FleetCapArbiter *_arbiter = nullptr;
     powercap::SessionCap *_capSlot = nullptr;
     powercap::ThermalCapGovernor _thermalCap;
-    std::shared_ptr<SessionPredictor> _predictor;
     std::unique_ptr<mpc::MpcGovernor> _governor;
     kernel::Apu _apu;
     std::optional<hw::HwConfig> _platformConfig;

@@ -2,20 +2,18 @@
  * @file
  * Session lifecycle: create / checkout / reset / evict with an LRU cap.
  *
- * The manager bounds fleet memory: each session's LRU holds up to
- * kernelCacheCap entries of the server's prediction table (each a dense
- * denseConfigCount-prediction memo), and a table entry lives only while
- * some resident session holds it, so the table is bounded by resident
- * sessions x kernelCacheCap entries - less when tenants share kernels,
- * since a shared kernel is one entry. When a create would exceed
+ * The manager bounds fleet memory: when a create would exceed
  * maxSessions the least-recently-used *idle* session is evicted
  * (checked-out sessions are pinned; evicting a session mid-step would
- * pull state out from under a worker).
+ * pull state out from under a worker). Predictions are not held per
+ * session: the predictor's own table is bounded by
+ * ml::PredictionTable::kRetained (1024) entries plus the 32 each
+ * worker thread's front may keep alive, however many sessions are
+ * resident.
  *
  * checkout()/checkin() give workers exclusive access: a session is
- * processed by one worker at a time, which is what lets Session and
- * SessionPredictor stay lock-free internally. The manager itself is
- * thread-safe.
+ * processed by one worker at a time, which is what lets Session stay
+ * lock-free internally. The manager itself is thread-safe.
  */
 
 #pragma once
@@ -40,26 +38,18 @@ class SessionManager
   public:
     /**
      * @param base Shared predictor handed to every session.
-     * @param broker Shared broker handed to every session; may be null.
      * @param model Default hardware model for sessions that do not
      *        carry their own override (SessionOptions::model).
      * @param telemetry Registry for manager/session metrics; may be
      *        null.
-     * @param handle Hot-swap publication point handed to every
-     *        session; null = static forests.
      * @param arbiter Fleet cap arbiter handed to every session; null =
      *        no fleet budget.
-     * @param table Prediction table shared by every session; null =
-     *        one private table per session.
      */
     SessionManager(std::shared_ptr<const ml::PerfPowerPredictor> base,
-                   InferenceBroker *broker,
                    const SessionManagerOptions &opts,
                    hw::HardwareModelPtr model,
                    telemetry::Registry *telemetry = nullptr,
-                   const online::ForestHandle *handle = nullptr,
-                   powercap::FleetCapArbiter *arbiter = nullptr,
-                   ml::PredictionTable *table = nullptr);
+                   powercap::FleetCapArbiter *arbiter = nullptr);
 
     /**
      * Create a session for @p app; evicts the LRU idle session when at
@@ -113,13 +103,10 @@ class SessionManager
     void evictLruLocked();
 
     std::shared_ptr<const ml::PerfPowerPredictor> _base;
-    InferenceBroker *_broker;
     SessionManagerOptions _opts;
     hw::HardwareModelPtr _model;
     telemetry::Registry *_telemetry;
-    const online::ForestHandle *_forestHandle;
     powercap::FleetCapArbiter *_arbiter;
-    ml::PredictionTable *_table;
 
     mutable std::mutex _mutex;
     std::unordered_map<SessionId, Slot> _slots;

@@ -14,8 +14,8 @@
  * reasons (the visible face of load shedding), and a counters
  * snapshot:
  *
- *   client -> server   Open(tenant, optimizedRuns, kernelCacheCap,
- *                           bench name)
+ *   client -> server   Open(tenant, optimizedRuns, kernelCacheCap
+ *                           (ignored), bench name)
  *   server -> client   Opened(tenant, session id, totalDecisions)
  *   client -> server   Step(session)
  *   server -> client   Decision(session, run, index, config, tag,
@@ -98,6 +98,12 @@ struct OpenMsg
 {
     std::uint64_t tenant = 0;
     std::uint32_t optimizedRuns = 2;
+    /**
+     * Former per-session prediction-cache cap. The server keeps no
+     * per-session cache any more and ignores the value; the field stays
+     * so the Open frame's bytes, and kWireVersion, are unchanged and
+     * older clients still decode.
+     */
     std::uint32_t kernelCacheCap = 32;
     std::string bench;
     /**

@@ -12,7 +12,7 @@
  *    temperature integrated by the RC thermal model.
  *  - Counter / Histogram are the *live* side: named monotonic counters
  *    and fixed-bucket histograms that concurrent subsystems (the fleet
- *    decision server, the inference broker) bump while they run.
+ *    decision server, the power-cap arbiter) bump while they run.
  *    Counters are lock-free atomics; histograms use per-bucket atomics,
  *    so recording from many threads is wait-free and TSan-clean.
  *  - Registry additionally carries the process's decision-provenance

@@ -2,11 +2,9 @@
  * @file
  * Golden-trace regression suite for the fleet server's determinism
  * contract: an 8-session fleet of RF-governed benchmarks must produce
- * a byte-identical decision trace at --jobs 1 and --jobs 8, both must
- * match the checked-in golden trace
- * (tests/golden/fleet_golden.jsonl), and the cross-session inference
- * broker must actually coalesce (mean requests per flush > 1) while
- * doing so.
+ * a byte-identical decision trace at --jobs 1 and --jobs 8, and both
+ * must match the checked-in golden trace
+ * (tests/golden/fleet_golden.jsonl).
  *
  * Regenerating the golden file (after an intentional model, governor
  * or serve-path change):
@@ -127,33 +125,6 @@ TEST(FleetDeterminism, RepeatedParallelRunsAgree)
               serializeFleetTrace(runAt(5).trace));
 }
 
-TEST(FleetDeterminism, BrokerCoalescesAcrossSessionsUnderLoad)
-{
-    // The acceptance signal for cross-session batching: with 8 sessions
-    // deciding on 8 workers, the mean number of *requests* coalesced
-    // into one forest walk must exceed one - the broker is genuinely
-    // combining different sessions' evaluations, not just passing each
-    // through alone.
-    const auto result = runAt(8);
-    const auto it = result.metrics.histograms.find("broker.batch_requests");
-    ASSERT_NE(it, result.metrics.histograms.end());
-    EXPECT_GT(it->second.count, 0u);
-    EXPECT_GT(it->second.mean, 1.0)
-        << "no cross-session coalescing happened";
-}
-
-TEST(FleetDeterminism, BatchingOnAndOffProduceTheSameTrace)
-{
-    // Batching is a throughput optimization with a correctness
-    // contract: routing evaluations through the broker must never
-    // change a prediction, so the trace is invariant.
-    auto with = goldenFleet(4);
-    auto without = goldenFleet(4);
-    without.server.batching = false;
-    EXPECT_EQ(serializeFleetTrace(runFleet(forest(), with).trace),
-              serializeFleetTrace(runFleet(forest(), without).trace));
-}
-
 TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
 {
     // Observer-until-trigger contract: with --online-learn on but no
@@ -161,9 +132,9 @@ TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
     // byte-identical to the static fleet's, and no retrain ever runs.
     // "No drift" is forced via the threshold: the deliberately tiny
     // test forest genuinely exceeds the paper's 25% baseline on live
-    // windows, and this test is about the observation path (handle-
-    // routed broker, generation-keyed memos, row accumulation), not
-    // about when the detector fires (test_drift_detector pins that).
+    // windows, and this test is about the observation path (the
+    // adaptive predictor over the handle, row accumulation), not about
+    // when the detector fires (test_drift_detector pins that).
     auto online = goldenFleet(4);
     online.onlineLearn = true;
     online.online.drift.timeThresholdPct = 1e9;
@@ -182,8 +153,8 @@ TEST(FleetDeterminism, OnlineLearnWithoutDriftIsByteIdentical)
 TEST(FleetDeterminism, QuantizedFleetIsDeterministicAcrossJobs)
 {
     // The int16 engine keeps the whole determinism contract: rows are
-    // still evaluated independently, so worker count, broker batch
-    // composition and memo hit order cannot change a quantized
+    // still evaluated independently, so worker count, batch
+    // composition and memo fill order cannot change a quantized
     // prediction either. (Its trace differs from the scalar golden -
     // that is the quantization, pinned by test_flat_forest - but it
     // must be byte-stable against itself.)
@@ -196,8 +167,10 @@ TEST(FleetDeterminism, QuantizedFleetIsDeterministicAcrossJobs)
         ml::trainRandomForestPredictor(topts));
     ASSERT_NE(rf->simdPath(), ml::SimdPath::Float64);
 
-    const auto serial = runFleet(rf, goldenFleet(1));
+    // The parallel fleet runs first: the serial one then finds every
+    // prediction in the predictor's table and walks no rows.
     const auto parallel = runFleet(rf, goldenFleet(8));
+    const auto serial = runFleet(rf, goldenFleet(1));
     EXPECT_EQ(serializeFleetTrace(serial.trace),
               serializeFleetTrace(parallel.trace));
 
@@ -215,7 +188,12 @@ TEST(FleetDeterminism, QuantizedFleetIsDeterministicAcrossJobs)
 
 TEST(FleetDeterminism, ScalarFleetReportsScalarRows)
 {
-    const auto result = runAt(2);
+    // A predictor of its own: the shared forest's table may already
+    // hold every prediction this fleet needs, and then no row is
+    // walked at all.
+    const auto rf = std::make_shared<const ml::RandomForestPredictor>(
+        forest()->timeForest(), forest()->powerForest());
+    const auto result = runFleet(rf, goldenFleet(2));
     const auto &c = result.metrics.counters;
     ASSERT_NE(c.find("ml.rows_scalar"), c.end());
     if (ml::defaultSimdMode() == ml::SimdMode::Scalar) {
@@ -228,7 +206,7 @@ TEST(FleetDeterminism, ScalarFleetReportsScalarRows)
 TEST(FleetDeterminism, ShardedFleetIsByteIdenticalAcrossShardCounts)
 {
     // The acceptance contract of sharding: tenant-hash routing, split
-    // session managers, per-shard brokers and the work-stealing drain
+    // session managers, per-shard queues and the work-stealing drain
     // are all invisible in the trace. Session ids come from one global
     // counter and predictions are pure per row, so the bytes at
     // --shards 1 (the golden configuration) and any other shard count
@@ -283,7 +261,6 @@ TEST(FleetDeterminism, ShardedFleetAccountsEveryDecisionOnce)
     // registration is pinned here; test_session_manager exercises the
     // stealing path under load).
     EXPECT_TRUE(result.metrics.counters.count("serve.queue_steals"));
-    EXPECT_TRUE(result.metrics.counters.count("broker.flush_stolen"));
 }
 
 TEST(FleetDeterminism, ForcedSheddingMarksDegradedDecisions)
@@ -602,8 +579,7 @@ TEST(DecisionProvenance, ShedStepUnderCapEmitsOneUncappedShedRecord)
     Session session(7, workload::makeBenchmark("Spmv"),
                     std::make_shared<const ml::GroundTruthPredictor>(
                         hw::paperApu()->params()),
-                    nullptr, sopts, hw::paperApu(), &registry, nullptr,
-                    &arbiter);
+                    sopts, hw::paperApu(), &registry, &arbiter);
 
     const auto rec = session.step(/*degraded=*/true);
 

@@ -2,12 +2,13 @@
  * @file
  * Hot-swap fuzz suite for the RCU forest-publication path (run it under
  * TSan via tools/run_sanitizers.sh). N reader threads hammer
- * predictions - both directly through a ForestHandle and through the
- * InferenceBroker's flush path - while a writer publishes new
- * generations as fast as it can. The pinned invariant: every evaluated
- * batch is bit-identical to *exactly one* generation's forests; a
- * concurrent publish may decide which generation serves a batch but can
- * never mix two inside one, corrupt a result, or block a reader.
+ * predictions - both directly through a ForestHandle and through
+ * AdaptivePredictor::predictBatch and the generations' prediction
+ * tables - while a writer publishes new generations as fast as it can.
+ * The pinned invariant: every evaluated batch is bit-identical to
+ * *exactly one* generation's forests; a concurrent publish may decide
+ * which generation serves a batch but can never mix two inside one,
+ * corrupt a result, or block a reader.
  */
 
 #include <gtest/gtest.h>
@@ -15,20 +16,25 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "hw/config.hpp"
+#include "hw/model.hpp"
 #include "kernel/counters.hpp"
+#include "kernel/perf_model.hpp"
 #include "ml/trainer.hpp"
+#include "online/adaptive_predictor.hpp"
 #include "online/forest_handle.hpp"
 #include "online/learner.hpp"
-#include "serve/broker.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/decision.hpp"
+#include "workload/training.hpp"
 
 namespace gpupm::online {
 namespace {
@@ -184,42 +190,107 @@ TEST(OnlineSwapFuzz, HandleReadersSeeExactlyOneGenerationPerBatch)
     EXPECT_EQ(handle.ordinal(), kPublishes);
 }
 
+/** One kernel's predictions over the paper space, per generation. */
+struct KernelExpectation
+{
+    ml::PredictionQuery query;
+    std::vector<std::vector<ml::Prediction>> byGeneration;
+};
+
 /**
- * Same invariant through the broker: concurrent evaluate() calls whose
- * flushes race with publishes must each come back bit-identical to the
- * generation whose ordinal evaluate() reports - and no flush may block
- * on a publish (joining at all, with a tight publish loop, is the
- * no-deadlock half; the zero-pause latency half lives in
- * bench_online_adapt).
+ * Cold predictRows walks, per generation, of a few corpus kernels over
+ * every config: the reference that table-served batches must equal.
  */
-TEST(OnlineSwapFuzz, BrokerFlushesNeverMixGenerations)
+std::vector<KernelExpectation>
+kernelExpectations(const Fixture &fx, const hw::ConfigSpace &space)
+{
+    const kernel::GroundTruthModel truth{hw::ApuParams::defaults()};
+    const auto &model = *hw::paperApu();
+    std::vector<KernelExpectation> out;
+    for (const auto &k : workload::trainingCorpus(3, 0x5a4b)) {
+        const auto &c0 = space.at(0);
+        KernelExpectation e;
+        e.query.counters = truth.counters(k, c0, truth.estimate(k, c0));
+        e.query.instructions = k.instructions();
+        const auto kf = ml::makeKernelFeatures(e.query.counters);
+        std::vector<ml::FeatureVector> rows;
+        for (const auto &c : space.all())
+            rows.push_back(ml::combineFeatures(kf, model.descriptor(c)));
+        std::vector<double> tl(rows.size()), gp(rows.size());
+        for (const auto &gen : fx.gens) {
+            gen->predictRows(rows, tl, gp);
+            auto &preds = e.byGeneration.emplace_back(rows.size());
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                preds[i].time = std::exp(tl[i]) *
+                                ml::instructionProxy(e.query.counters);
+                preds[i].gpuPower = gp[i];
+            }
+        }
+        out.push_back(std::move(e));
+    }
+    return out;
+}
+
+/**
+ * Same invariant through AdaptivePredictor::predictBatch, where each
+ * generation's predictor serves from (and fills) its own prediction
+ * table and every reader thread keeps a front of entries: readers
+ * repeat the same kernels in whole-space and windowed batches while
+ * the writer republishes, and every returned batch must be bit-equal
+ * to exactly one generation's cold walk - never a mix, never a value
+ * of a generation other than the one that served the batch.
+ */
+TEST(OnlineSwapFuzz, AdaptiveBatchesNeverMixGenerations)
 {
     auto &fx = fixture();
-    constexpr std::size_t kClients = 4;
-    constexpr std::size_t kIterations = 250;
-    constexpr std::size_t kPublishes = 150;
+    constexpr std::size_t kReaders = 4;
+    constexpr std::size_t kIterations = 300;
+    constexpr std::size_t kPublishes = 200;
+    constexpr std::size_t kWindow = 6;
+
+    const hw::ConfigSpace space;
+    const auto &cfgs = space.all();
+    const auto kernels = kernelExpectations(fx, space);
+    for (const auto &e : kernels) {
+        for (std::size_t a = 0; a < kGenerations; ++a)
+            for (std::size_t b = a + 1; b < kGenerations; ++b)
+                GPUPM_ASSERT(
+                    e.byGeneration[a][0].time != e.byGeneration[b][0].time,
+                    "kernel cannot tell generations ", a, " and ", b,
+                    " apart");
+    }
 
     ForestHandle handle(fx.gens[0]);
-    serve::BrokerOptions bopts;
-    bopts.maxBatch = 16;
-    serve::InferenceBroker broker(handle, bopts);
-
+    const AdaptivePredictor adaptive(handle);
     std::atomic<bool> start{false};
     std::atomic<std::size_t> mismatches{0};
 
-    std::vector<std::thread> clients;
-    for (std::size_t t = 0; t < kClients; ++t) {
-        clients.emplace_back([&] {
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t] {
             while (!start.load(std::memory_order_acquire)) {
             }
-            std::vector<double> tl(kProbeRows), gp(kProbeRows);
+            std::vector<ml::Prediction> out(cfgs.size());
             for (std::size_t i = 0; i < kIterations; ++i) {
-                serve::InferenceBroker::DecisionScope scope(broker);
-                const std::uint64_t served =
-                    broker.evaluate(fx.probe, tl, gp);
-                const Expected &want =
-                    fx.expected[served % kGenerations];
-                if (want.timeLog != tl || want.gpuPower != gp)
+                const auto &e = kernels[(t + i) % kernels.size()];
+                // Whole-space scans alternate with hill-climb sized
+                // windows, so batches both fill and hit.
+                const std::size_t first =
+                    i % 2 ? (t * 13 + i * 7) % (cfgs.size() - kWindow) : 0;
+                const std::size_t n = i % 2 ? kWindow : cfgs.size();
+                adaptive.predictBatch(e.query,
+                                      std::span(cfgs).subspan(first, n),
+                                      std::span(out).first(n));
+                std::size_t matched = 0;
+                for (const auto &want : e.byGeneration) {
+                    bool all = true;
+                    for (std::size_t j = 0; j < n && all; ++j) {
+                        all = std::memcmp(&out[j], &want[first + j],
+                                          sizeof(ml::Prediction)) == 0;
+                    }
+                    matched += all;
+                }
+                if (matched != 1)
                     mismatches.fetch_add(1);
             }
         });
@@ -234,28 +305,11 @@ TEST(OnlineSwapFuzz, BrokerFlushesNeverMixGenerations)
 
     start.store(true, std::memory_order_release);
     writer.join();
-    for (auto &c : clients)
-        c.join();
+    for (auto &r : readers)
+        r.join();
 
     EXPECT_EQ(mismatches.load(), 0u);
-    EXPECT_EQ(broker.queryCount(), kClients * kIterations * kProbeRows);
-}
-
-TEST(OnlineSwap, BrokerReportsTheServingGeneration)
-{
-    auto &fx = fixture();
-    ForestHandle handle(fx.gens[0]);
-    serve::InferenceBroker broker(handle);
-
-    std::vector<double> tl(kProbeRows), gp(kProbeRows);
-    serve::InferenceBroker::DecisionScope scope(broker);
-    EXPECT_EQ(broker.evaluate(fx.probe, tl, gp), 0u);
-    EXPECT_EQ(tl, fx.expected[0].timeLog);
-
-    handle.publish(fx.gens[1]);
-    EXPECT_EQ(broker.evaluate(fx.probe, tl, gp), 1u);
-    EXPECT_EQ(tl, fx.expected[1].timeLog);
-    EXPECT_EQ(gp, fx.expected[1].gpuPower);
+    EXPECT_EQ(handle.ordinal(), kPublishes);
 }
 
 /** A scored, drifting decision record the learner can train on. */

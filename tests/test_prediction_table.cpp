@@ -2,11 +2,14 @@
  * @file
  * The Random Forest predictor's prediction table (ml::PredictionTable
  * behind RandomForestPredictor::predictBatch): values served from it
- * must be exactly what a cold walk of the same forests returns, however
- * threads interleave, however many predictors share a thread, however
- * many kernels pass through the bounded table, and across an online
- * refit. Run it under TSan (tools/run_sanitizers.sh) for the lock-free
- * hit path; run it with GPUPM_SIMD set for the quantized engines.
+ * must be exactly what a cold walk of the same forests on the same
+ * hardware model returns, however threads interleave, however many
+ * predictors share a thread, however many kernels pass through the
+ * bounded table, whichever model scores them, and across an online
+ * refit. A fleet's sessions share the table of the one predictor they
+ * are served by. Run it under TSan (tools/run_sanitizers.sh) for the
+ * lock-free hit path; run it with GPUPM_SIMD set for the quantized
+ * engines.
  */
 
 #include <gtest/gtest.h>
@@ -19,10 +22,13 @@
 #include <vector>
 
 #include "hw/config.hpp"
+#include "hw/model.hpp"
 #include "kernel/perf_model.hpp"
+#include "ml/simd.hpp"
 #include "ml/trainer.hpp"
 #include "online/adaptive_predictor.hpp"
 #include "online/forest_handle.hpp"
+#include "serve/server.hpp"
 #include "workload/training.hpp"
 
 namespace gpupm::ml {
@@ -67,7 +73,8 @@ kernelQueries(std::size_t kernels)
 
 /**
  * A fresh predictor's cold walk: single queries on a predictor that
- * never saw a batch claim no table entry and walk the flat forests.
+ * never saw a batch claim no table entry and walk the flat forests
+ * (with q.model's descriptors).
  */
 std::vector<Prediction>
 coldWalk(const RandomForestPredictor &trained, const PredictionQuery &q,
@@ -189,7 +196,7 @@ TEST(PredictorTable, BoundedEntryCountKeepsResultsExact)
 
     // More distinct kernels than the table retains; each two-config
     // batch claims an entry.
-    const std::size_t kernels = RandomForestPredictor::kTableEntries + 100;
+    const std::size_t kernels = PredictionTable::kRetained + 100;
     std::array<Prediction, 2> out;
     for (std::size_t k = 0; k < kernels; ++k) {
         PredictionQuery q = base;
@@ -202,9 +209,9 @@ TEST(PredictorTable, BoundedEntryCountKeepsResultsExact)
         }
     }
     EXPECT_LE(rf->predictionTable().liveEntries(),
-              RandomForestPredictor::kTableEntries);
+              PredictionTable::kRetained);
     EXPECT_GT(rf->predictionTable().liveEntries(),
-              RandomForestPredictor::kTableEntries / 2);
+              PredictionTable::kRetained / 2);
 
     // An evicted kernel comes back with the same bits.
     const auto again = rf->predictionTable().liveEntries();
@@ -250,6 +257,139 @@ TEST(PredictorTable, RefitUnderAdaptivePredictorServesNoOldValue)
     }
     EXPECT_GT(changed, 0u) << "the generations agree; the test shows "
                               "nothing";
+}
+
+/** Rows walked by every flat forest in the process so far. */
+std::uint64_t
+rowsWalked()
+{
+    const auto s = simdRowStats();
+    return s.scalar + s.fallback + s.avx2;
+}
+
+TEST(PredictorTable, DifferentHardwareModelsNeverShareValues)
+{
+    const auto rf = smallPredictor(0x7a41);
+    const hw::ConfigSpace space;
+    const auto &cfgs = space.all();
+    // An equal-parameter copy is still another model: identity is the
+    // model object, not its name or parameters.
+    auto copy = hw::makeModel("paper-copy", hw::ApuParams::defaults());
+    const std::weak_ptr<const hw::HardwareModel> copy_alive = copy;
+    const std::vector<hw::HardwareModelPtr> models = {
+        hw::paperApu(), hw::HardwareCatalog::instance().get("eco-apu"),
+        copy};
+
+    std::vector<std::vector<Prediction>> values;
+    std::vector<Prediction> out(cfgs.size());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        PredictionQuery q = kernelQueries(1)[0];
+        q.model = models[m];
+        const auto want = coldWalk(*rf, q, cfgs);
+        // A kernel another model already scored is walked again (by
+        // the time and the power forest), into an entry of its own.
+        const std::uint64_t before = rowsWalked();
+        rf->predictBatch(q, cfgs, out);
+        EXPECT_EQ(rowsWalked() - before, 2 * cfgs.size())
+            << models[m]->name() << " was served another model's values";
+        EXPECT_EQ(rf->predictionTable().liveEntries(), m + 1);
+        for (std::size_t i = 0; i < cfgs.size(); ++i)
+            ASSERT_TRUE(bitEqual(out[i], want[i]))
+                << models[m]->name() << " config " << i;
+        values.push_back(out);
+    }
+    std::size_t eco_differs = 0;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        // Equal parameters give equal descriptors, hence equal bits.
+        ASSERT_TRUE(bitEqual(values[2][i], values[0][i])) << i;
+        eco_differs += !bitEqual(values[1][i], values[0][i]);
+    }
+    EXPECT_GT(eco_differs, 0u) << "eco-apu scored like paper-apu; the "
+                                  "model does not reach the rows";
+
+    // The entry pins its model: with every caller's handle gone, the
+    // model lives on as long as the table holds its entry.
+    copy.reset();
+    EXPECT_FALSE(copy_alive.expired());
+}
+
+TEST(PredictorTable, SecondSessionOnTheSameKernelWalksNoRows)
+{
+    const auto rf = smallPredictor(0x7a41);
+    serve::FleetServer server(rf);
+    serve::SessionOptions opts;
+    opts.optimizedRuns = 1;
+    const auto app = workload::randomApplication(0x42, 4);
+    const auto play = [&] {
+        const auto id = server.createSession(app, opts);
+        serve::Session *s = server.sessions().checkout(id);
+        std::vector<std::size_t> configs;
+        while (!s->finished())
+            configs.push_back(s->step().configIndex);
+        server.sessions().checkin(id);
+        return configs;
+    };
+
+    std::uint64_t before = rowsWalked();
+    const auto first = play();
+    ASSERT_GT(rowsWalked(), before);
+    const std::size_t live = rf->predictionTable().liveEntries();
+    ASSERT_GT(live, 0u);
+
+    // Another tenant on the same application is served from the table.
+    before = rowsWalked();
+    EXPECT_EQ(play(), first);
+    EXPECT_EQ(rowsWalked(), before);
+    EXPECT_EQ(rf->predictionTable().liveEntries(), live);
+}
+
+TEST(PredictorTable, ConcurrentCrossThreadFillAndHit)
+{
+    // Every thread re-fills and re-reads the same few kernels on two
+    // models in its own order, through overlapping windows of the
+    // configs, so slots of one entry are filled by one thread while
+    // another reads them. Every value must match the forests bit for
+    // bit, and TSan must see no race on an entry's slots.
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kIters = 40;
+    const auto rf = smallPredictor(0x51de);
+    const hw::ConfigSpace space;
+    const auto &cfgs = space.all();
+    const auto base = kernelQueries(1);
+    std::vector<PredictionQuery> qs;
+    for (const auto &model :
+         {hw::paperApu(), hw::HardwareCatalog::instance().get("perf-apu")}) {
+        for (std::size_t k = 0; k < 3; ++k) {
+            qs.push_back(base[k]);
+            qs.back().model = model;
+        }
+    }
+    std::vector<std::vector<Prediction>> want;
+    for (const auto &q : qs)
+        want.push_back(coldWalk(*rf, q, cfgs));
+
+    std::vector<std::size_t> failures(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const std::size_t n = 48;
+            std::vector<Prediction> got(n);
+            for (std::size_t i = 0; i < kIters; ++i) {
+                const std::size_t k = (t + i) % qs.size();
+                // A thread-specific window: partial overlaps make some
+                // slots hits and some fresh fills.
+                const std::size_t lo = (t * 7 + i * 5) % (cfgs.size() - n);
+                rf->predictBatch(qs[k], std::span(cfgs).subspan(lo, n), got);
+                for (std::size_t j = 0; j < n; ++j)
+                    failures[t] += !bitEqual(got[j], want[k][lo + j]);
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(failures[t], 0u) << "thread " << t;
+    EXPECT_EQ(rf->predictionTable().liveEntries(), qs.size());
 }
 
 } // namespace

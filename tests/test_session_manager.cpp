@@ -51,7 +51,7 @@ fastSession()
 
 TEST(SessionManager, CreateCheckoutCheckinLifecycle)
 {
-    SessionManager mgr(sharedPredictor(), nullptr, {}, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), {}, hw::paperApu());
     const auto a = mgr.create(tinyApp(1), fastSession());
     const auto b = mgr.create(tinyApp(2), fastSession());
     EXPECT_EQ(mgr.size(), 2u);
@@ -74,7 +74,7 @@ TEST(SessionManager, CreateCheckoutCheckinLifecycle)
 
 TEST(SessionManager, UnknownIdsAreRejectedEverywhere)
 {
-    SessionManager mgr(sharedPredictor(), nullptr, {}, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), {}, hw::paperApu());
     EXPECT_EQ(mgr.checkout(99), nullptr);
     EXPECT_FALSE(mgr.reset(99));
     EXPECT_FALSE(mgr.evict(99));
@@ -82,7 +82,7 @@ TEST(SessionManager, UnknownIdsAreRejectedEverywhere)
 
 TEST(SessionManager, BusySessionsCannotBeResetOrEvicted)
 {
-    SessionManager mgr(sharedPredictor(), nullptr, {}, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), {}, hw::paperApu());
     const auto id = mgr.create(tinyApp(3), fastSession());
     ASSERT_NE(mgr.checkout(id), nullptr);
     EXPECT_FALSE(mgr.reset(id));
@@ -96,7 +96,7 @@ TEST(SessionManager, BusySessionsCannotBeResetOrEvicted)
 
 TEST(SessionManager, ResetRewindsSessionProgress)
 {
-    SessionManager mgr(sharedPredictor(), nullptr, {}, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), {}, hw::paperApu());
     const auto id = mgr.create(tinyApp(4), fastSession());
     Session *s = mgr.checkout(id);
     ASSERT_NE(s, nullptr);
@@ -120,7 +120,7 @@ TEST(SessionManager, CapEvictsLeastRecentlyUsedIdleSession)
 {
     SessionManagerOptions opts;
     opts.maxSessions = 2;
-    SessionManager mgr(sharedPredictor(), nullptr, opts, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), opts, hw::paperApu());
     const auto a = mgr.create(tinyApp(5), fastSession());
     const auto b = mgr.create(tinyApp(6), fastSession());
     const auto c = mgr.create(tinyApp(7), fastSession());
@@ -135,7 +135,7 @@ TEST(SessionManager, CheckoutRefreshesLruOrder)
 {
     SessionManagerOptions opts;
     opts.maxSessions = 2;
-    SessionManager mgr(sharedPredictor(), nullptr, opts, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), opts, hw::paperApu());
     const auto a = mgr.create(tinyApp(8), fastSession());
     const auto b = mgr.create(tinyApp(9), fastSession());
 
@@ -153,7 +153,7 @@ TEST(SessionManager, PinnedSessionsAreNeverEvicted)
 {
     SessionManagerOptions opts;
     opts.maxSessions = 2;
-    SessionManager mgr(sharedPredictor(), nullptr, opts, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), opts, hw::paperApu());
     const auto a = mgr.create(tinyApp(11), fastSession());
     const auto b = mgr.create(tinyApp(12), fastSession());
 
@@ -173,7 +173,7 @@ TEST(SessionManagerDeathTest, AllPinnedAtCapIsFatal)
 {
     SessionManagerOptions opts;
     opts.maxSessions = 1;
-    SessionManager mgr(sharedPredictor(), nullptr, opts, hw::paperApu());
+    SessionManager mgr(sharedPredictor(), opts, hw::paperApu());
     const auto id = mgr.create(tinyApp(14), fastSession());
     ASSERT_NE(mgr.checkout(id), nullptr);
     EXPECT_DEATH(mgr.create(tinyApp(15), fastSession()), "maxSessions");

@@ -272,7 +272,7 @@ addShardFlags(FlagParser &flags)
 {
     flags.addInt("shards", 1,
                  "tenant-hash server shards (each owns its own session "
-                 "manager, broker and request queue)",
+                 "manager and request queue)",
                  1, 4096);
     flags.addBool("shed",
                   "enable per-shard overload shedding: sustained queue "
@@ -744,9 +744,9 @@ cmdFleet(int argc, const char *const *argv)
 {
     FlagParser flags(
         "gpupm fleet: serve N concurrent governor sessions through a "
-        "bounded request queue, coalescing their Random Forest "
-        "evaluations into shared batched inference (deterministic: the "
-        "decision trace is byte-identical for every --jobs value)");
+        "bounded request queue, sharing one predictor and its "
+        "prediction table (deterministic: the decision trace is "
+        "byte-identical for every --jobs value)");
     flags.addString("bench", "all",
                     "benchmark name, comma list, or 'all' (assigned "
                     "round-robin over sessions)");
@@ -776,18 +776,10 @@ cmdFleet(int argc, const char *const *argv)
                     "cycled over sessions (with --cap-policy weighted)");
     flags.addInt("runs", 2, "MPC executions after profiling", 1, 10000);
     flags.addInt("queue", 1024, "request-queue capacity", 1, 1 << 20);
-    flags.addInt("max-batch", 512, "broker flush threshold in queries",
-                 1, 1 << 20);
-    flags.addInt("cache", 32,
-                 "per-session kernel prediction-cache cap (0 disables "
-                 "caching and batching for that session)",
-                 0, 1 << 20);
     flags.addInt("seed", 0x5eed, "root seed for per-session RNG streams");
     flags.addDouble("phase-jitter", 0.0,
                     "upper bound on per-session CPU-phase fractions "
                     "(each session draws its own)");
-    flags.addBool("no-batching",
-                  "disable the cross-session inference broker");
     flags.addBool("deterministic",
                   "print only byte-reproducible output (suppress "
                   "wall-clock metrics)");
@@ -851,13 +843,8 @@ cmdFleet(int argc, const char *const *argv)
     }
     fopts.server.queueCapacity =
         static_cast<std::size_t>(flags.getInt("queue"));
-    fopts.server.broker.maxBatch =
-        static_cast<std::size_t>(flags.getInt("max-batch"));
-    fopts.server.batching = !flags.getBool("no-batching");
     fopts.session.optimizedRuns =
         static_cast<std::size_t>(flags.getInt("runs"));
-    fopts.session.kernelCacheCap =
-        static_cast<std::size_t>(flags.getInt("cache"));
     fopts.sessionCount = static_cast<std::size_t>(flags.getInt("sessions"));
     fopts.syntheticKernels =
         static_cast<std::size_t>(flags.getInt("synthetic"));
@@ -921,10 +908,6 @@ cmdFleet(int argc, const char *const *argv)
             std::cout << "decision latency: p50 "
                       << fmt(it->second.p50 / 1e3, 1) << " us, p99 "
                       << fmt(it->second.p99 / 1e3, 1) << " us\n";
-        if (auto it = h.find("broker.batch_requests"); it != h.end())
-            std::cout << "broker: mean " << fmt(it->second.mean, 2)
-                      << " requests/flush over " << it->second.count
-                      << " flushes\n";
         if (auto it = h.find("serve.queue_depth"); it != h.end())
             std::cout << "queue depth: mean " << fmt(it->second.mean, 2)
                       << ", p99 " << fmt(it->second.p99, 1) << "\n";
@@ -940,7 +923,7 @@ cmdFleet(int argc, const char *const *argv)
                       << ", queue steals "
                       << m.counter("serve.queue_steals") << "\n";
         }
-        // Row counts depend on cache/memo hit patterns, which vary
+        // Row counts depend on prediction-table hit patterns, which vary
         // with worker scheduling - hence outside --deterministic.
         std::cout << "inference: --simd "
                   << flags.getString("simd") << ", rows scalar "
@@ -1107,11 +1090,6 @@ cmdServe(int argc, const char *const *argv)
                  1, 10000);
     flags.addInt("queue", 1024, "per-shard request-queue capacity", 1,
                  1 << 20);
-    flags.addInt("max-batch", 512, "broker flush threshold in queries",
-                 1, 1 << 20);
-    flags.addInt("cache", 32,
-                 "default per-session kernel prediction-cache cap", 0,
-                 1 << 20);
     flags.addInt("max-sessions", 4096,
                  "per-shard resident-session LRU cap", 1, 1 << 24);
     addHwModelFlag(flags);
@@ -1169,16 +1147,12 @@ cmdServe(int argc, const char *const *argv)
         static_cast<std::size_t>(flags.getInt("queue"));
     sopts.sessions.maxSessions =
         static_cast<std::size_t>(flags.getInt("max-sessions"));
-    sopts.broker.maxBatch =
-        static_cast<std::size_t>(flags.getInt("max-batch"));
     serve::FleetServer server(std::move(predictor), sopts);
 
     nopts.host = host;
     nopts.port = static_cast<std::uint16_t>(port);
     nopts.session.optimizedRuns =
         static_cast<std::size_t>(flags.getInt("runs"));
-    nopts.session.kernelCacheCap =
-        static_cast<std::size_t>(flags.getInt("cache"));
     serve::NetServer net(server, nopts);
 
     g_netServer = &net;

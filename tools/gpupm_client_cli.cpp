@@ -270,7 +270,6 @@ main(int argc, char **argv)
         open.tenant = s.tenant;
         open.optimizedRuns =
             static_cast<std::uint32_t>(flags.getInt("runs"));
-        open.kernelCacheCap = 0; // Server default.
         open.bench = s.bench;
         if (legacyOpen)
             open.version = 1;

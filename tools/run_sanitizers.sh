@@ -11,12 +11,12 @@
 #
 #   tools/run_sanitizers.sh -R 'FlatForest|RandomForest|Trainer|PredictorTable|DecisionAllocation|ModelLoad'
 #
-# or the fleet-serving path (request queue, broker, the shared
-# prediction tables, sharded server, shed controller, wire protocol and
-# the epoll net server — the core of the set CI runs under its scoped
-# TSan leg):
+# or the fleet-serving path (request queue, the shared prediction
+# table, sharded server, sim/serve parity, shed controller, wire
+# protocol and the epoll net server — the core of the set CI runs under
+# its scoped TSan leg):
 #
-#   tools/run_sanitizers.sh -R 'RequestQueue|InferenceBroker|PredictionTable|PredictorTable|DecisionAllocation|FleetServer|FleetServerSharded|FleetDeterminism|SessionManager|ShedController|Wire|NetServer|Telemetry'
+#   tools/run_sanitizers.sh -R 'RequestQueue|PredictorTable|DecisionAllocation|FleetServer|FleetServerSharded|FleetDeterminism|SimServeParity|SessionManager|ShedController|Wire|NetServer|Telemetry'
 #
 # A single sanitizer can be selected with --only (used by CI, where
 # TSan and ASan run as separate jobs):
