@@ -43,6 +43,9 @@ struct Fixture
         opts.configStride = 3;
         opts.forest.numTrees = 60;
         rf = ml::trainRandomForestPredictor(opts);
+        std::stringstream text;
+        ml::saveRandomForest(*rf, text);
+        forests = ml::loadForests(text);
         kernel = workload::trainingCorpus(1, 0x71e)[0];
         const auto c = hw::ConfigSpace::failSafe();
         const auto est = model.estimate(kernel, c);
@@ -56,6 +59,8 @@ struct Fixture
     hw::ConfigSpace space;
     ml::EnergyModel energy{hw::ApuParams::defaults()};
     std::unique_ptr<ml::RandomForestPredictor> rf;
+    /** rf's training-format forests (the predictor keeps only arenas). */
+    ml::ModelForests forests;
     kernel::KernelParams kernel;
     ml::PredictionQuery query;
     Seconds headroom = 0.0;
@@ -93,8 +98,8 @@ BM_ScalarForestReference(benchmark::State &state)
     for (auto _ : state) {
         const auto feats = ml::makeFeatures(f.query.counters, c);
         ml::Prediction p;
-        p.time = std::exp(f.rf->timeForest().predict(feats)) * proxy;
-        p.gpuPower = f.rf->powerForest().predict(feats);
+        p.time = std::exp(f.forests.time.predict(feats)) * proxy;
+        p.gpuPower = f.forests.power.predict(feats);
         benchmark::DoNotOptimize(p);
     }
 }

@@ -11,6 +11,7 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "ml/tree_builder.hpp"
@@ -44,176 +45,9 @@ DatasetOrder::build(const Dataset &data)
     return order;
 }
 
-namespace {
-
-/** Mean of targets over a row range. */
-double
-rangeMean(const Dataset &data, std::span<const std::uint32_t> rows)
+DecisionTree::DecisionTree(std::vector<Node> nodes, int depth)
+    : _nodes(std::move(nodes)), _depth(depth)
 {
-    double s = 0.0;
-    for (auto r : rows)
-        s += data.y[r];
-    return rows.empty() ? 0.0 : s / static_cast<double>(rows.size());
-}
-
-struct SplitCandidate
-{
-    int feature = -1;
-    double threshold = 0.0;
-    double score = std::numeric_limits<double>::infinity();
-    std::size_t leftCount = 0;
-};
-
-/**
- * Best threshold for one feature by exhaustive scan: copy the node's
- * rows into scratch, stable-sort them by the feature, sweep prefix
- * sums, and score each boundary by the summed child SSE (equivalently,
- * maximize variance reduction). @p total_sum / @p total_sq are the
- * node's target sums, accumulated once per node in canonical order and
- * shared by every candidate feature.
- *
- * The stable sort from the node's canonical order fixes the visit
- * order of equal feature values, and with it every floating-point sum
- * below; the presorted TreeBuilder maintains exactly this order, which
- * is what makes the two paths bit-identical.
- */
-SplitCandidate
-bestSplitForFeature(const Dataset &data,
-                    std::span<const std::uint32_t> rows,
-                    std::size_t begin, std::size_t end, int feature,
-                    int min_leaf, double total_sum, double total_sq,
-                    std::vector<std::uint32_t> &scratch)
-{
-    SplitCandidate best;
-    best.feature = feature;
-
-    scratch.assign(rows.begin() + static_cast<std::ptrdiff_t>(begin),
-                   rows.begin() + static_cast<std::ptrdiff_t>(end));
-    auto span = std::span<std::uint32_t>(scratch);
-    std::stable_sort(span.begin(), span.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                         return data.x[a][feature] < data.x[b][feature];
-                     });
-
-    const std::size_t n = span.size();
-    double left_sum = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-        left_sum += data.y[span[i]];
-        const double xv = data.x[span[i]][feature];
-        const double xn = data.x[span[i + 1]][feature];
-        if (xv == xn)
-            continue; // can't split between equal feature values
-        const std::size_t nl = i + 1;
-        const std::size_t nr = n - nl;
-        if (nl < static_cast<std::size_t>(min_leaf) ||
-            nr < static_cast<std::size_t>(min_leaf)) {
-            continue;
-        }
-        const double right_sum = total_sum - left_sum;
-        // SSE = sum(y^2) - nl*meanL^2 - nr*meanR^2; sum(y^2) is constant
-        // across candidates, so minimize the negative mean-square terms.
-        const double score =
-            total_sq - left_sum * left_sum / static_cast<double>(nl) -
-            right_sum * right_sum / static_cast<double>(nr);
-        if (score < best.score) {
-            best.score = score;
-            best.threshold = 0.5 * (xv + xn);
-            best.leftCount = nl;
-        }
-    }
-    return best;
-}
-
-} // namespace
-
-std::int32_t
-DecisionTree::build(const Dataset &data, std::vector<std::uint32_t> &rows,
-                    std::size_t begin, std::size_t end, int depth,
-                    const TreeOptions &opts, Pcg32 &rng,
-                    std::vector<std::uint32_t> &scratch)
-{
-    _depth = std::max(_depth, depth);
-    const std::size_t n = end - begin;
-    auto rows_span =
-        std::span<const std::uint32_t>(rows).subspan(begin, n);
-
-    auto make_leaf = [&]() {
-        Node leaf;
-        leaf.value = rangeMean(data, rows_span);
-        _nodes.push_back(leaf);
-        return static_cast<std::int32_t>(_nodes.size() - 1);
-    };
-
-    if (depth >= opts.maxDepth ||
-        n < static_cast<std::size_t>(opts.minSamplesSplit)) {
-        return make_leaf();
-    }
-
-    // Constant target -> leaf.
-    bool constant = true;
-    for (std::size_t i = begin + 1; i < end && constant; ++i)
-        constant = data.y[rows[i]] == data.y[rows[begin]];
-    if (constant)
-        return make_leaf();
-
-    // Pick the candidate feature set (mtry without replacement).
-    std::array<int, numFeatures> order;
-    std::iota(order.begin(), order.end(), 0);
-    int tries = opts.mtry > 0 ? std::min(opts.mtry, numFeatures)
-                              : numFeatures;
-    for (int i = 0; i < tries; ++i) {
-        auto j = i + static_cast<int>(
-                         rng.nextBounded(static_cast<std::uint32_t>(
-                             numFeatures - i)));
-        std::swap(order[i], order[j]);
-    }
-
-    // Node target totals, once per node in canonical order; every
-    // candidate feature scores against the same two doubles.
-    double total_sum = 0.0, total_sq = 0.0;
-    for (auto r : rows_span) {
-        total_sum += data.y[r];
-        total_sq += data.y[r] * data.y[r];
-    }
-
-    SplitCandidate best;
-    for (int i = 0; i < tries; ++i) {
-        auto cand = bestSplitForFeature(data, rows, begin, end, order[i],
-                                        opts.minSamplesLeaf, total_sum,
-                                        total_sq, scratch);
-        if (cand.score < best.score)
-            best = cand;
-    }
-    if (best.feature < 0 || !std::isfinite(best.score))
-        return make_leaf();
-
-    // Partition rows around the chosen threshold. Stable, so each
-    // child keeps the canonical order its own split scans and leaf
-    // means depend on.
-    auto mid_it = std::stable_partition(
-        rows.begin() + static_cast<std::ptrdiff_t>(begin),
-        rows.begin() + static_cast<std::ptrdiff_t>(end),
-        [&](std::uint32_t r) {
-            return data.x[r][best.feature] <= best.threshold;
-        });
-    std::size_t mid =
-        static_cast<std::size_t>(mid_it - rows.begin());
-    if (mid == begin || mid == end)
-        return make_leaf(); // numerical degenerate split
-
-    Node node;
-    node.feature = best.feature;
-    node.threshold = best.threshold;
-    _nodes.push_back(node);
-    auto idx = static_cast<std::int32_t>(_nodes.size() - 1);
-
-    auto left =
-        build(data, rows, begin, mid, depth + 1, opts, rng, scratch);
-    auto right =
-        build(data, rows, mid, end, depth + 1, opts, rng, scratch);
-    _nodes[idx].left = left;
-    _nodes[idx].right = right;
-    return idx;
 }
 
 void
@@ -232,11 +66,12 @@ DecisionTree::fit(const Dataset &data, std::span<const std::uint32_t> rows,
     GPUPM_ASSERT(data.x.size() == data.y.size(), "dataset x/y mismatch");
 
     // Canonicalize the bootstrap to ascending row order (counting sort;
-    // duplicates stay adjacent). Both split engines fit on this order,
-    // so the tree depends only on the drawn row *multiset* — and the
-    // presorted engine can derive every per-feature order from the
-    // shared DatasetOrder by linear expansion, with value ties visiting
-    // in exactly this canonical order.
+    // duplicates stay adjacent), the order the legacy-scan oracle in the
+    // tests fits on too. The tree depends only on the drawn row
+    // *multiset* — and the presorted engine can derive every
+    // per-feature order from the shared DatasetOrder by linear
+    // expansion, with value ties visiting in exactly this canonical
+    // order.
     thread_local std::vector<std::uint32_t> histogram, canonical;
     histogram.assign(data.size(), 0);
     for (const auto r : rows) {
@@ -250,25 +85,15 @@ DecisionTree::fit(const Dataset &data, std::span<const std::uint32_t> rows,
             canonical.push_back(r);
     }
 
-    if (!opts.legacySplitScan) {
-        // Presorted engine; thread_local so forest fitting reuses one
-        // builder's scratch per worker across its trees.
-        thread_local TreeBuilder builder;
-        if (order) {
-            builder.fit(data, *order, canonical, opts, rng, _nodes,
-                        _depth);
-        } else {
-            const DatasetOrder local = DatasetOrder::build(data);
-            builder.fit(data, local, canonical, opts, rng, _nodes,
-                        _depth);
-        }
-        return;
+    // thread_local so forest fitting reuses one builder's scratch per
+    // worker across its trees.
+    thread_local TreeBuilder builder;
+    if (order) {
+        builder.fit(data, *order, canonical, opts, rng, _nodes, _depth);
+    } else {
+        const DatasetOrder local = DatasetOrder::build(data);
+        builder.fit(data, local, canonical, opts, rng, _nodes, _depth);
     }
-    _nodes.clear();
-    _depth = 0;
-    std::vector<std::uint32_t> work = canonical;
-    std::vector<std::uint32_t> scratch;
-    build(data, work, 0, work.size(), 0, opts, rng, scratch);
 }
 
 void
@@ -335,6 +160,8 @@ DecisionTree::load(std::istream &is)
         t._nodes.resize(count);
         error = parseLines(lines, count, t._nodes);
     }
+    if (error.empty())
+        error = checkShape(t._nodes, t._depth);
     if (!error.empty())
         GPUPM_FATAL(error);
     return t;
@@ -446,6 +273,55 @@ DecisionTree::parseLines(std::string_view lines, std::size_t count,
         if (!std::isfinite(n.threshold) || !std::isfinite(n.value))
             return "tree node with non-finite threshold or value";
         p = eol + 1;
+    }
+    return {};
+}
+
+std::string
+DecisionTree::checkShape(std::span<const Node> nodes, int depth)
+{
+    // Breadth-first from the root, marking each node as it is queued.
+    // A child already marked is reached twice; the queue therefore
+    // holds each node at most once, and a tree is whole when the walk
+    // has queued every node. FlatForest::appendTree walks the same
+    // edges and would loop or grow without bound on a cycle. Children
+    // are in range: parseLines checked each line.
+    if (nodes.empty())
+        return {};
+    std::vector<std::uint8_t> seen(nodes.size(), 0);
+    std::vector<std::int32_t> queue;
+    queue.reserve(nodes.size());
+    queue.push_back(0);
+    seen[0] = 1;
+    // The queue holds one level after another; level_end is where the
+    // level of node i ends.
+    int levels = 0;
+    for (std::size_t i = 0, level_end = 1; i < queue.size(); ++i) {
+        if (i == level_end) {
+            ++levels;
+            level_end = queue.size();
+        }
+        const Node &n = nodes[static_cast<std::size_t>(queue[i])];
+        if (n.feature < 0)
+            continue;
+        for (const std::int32_t child : {n.left, n.right}) {
+            auto &mark = seen[static_cast<std::size_t>(child)];
+            if (mark) {
+                return "tree node " + std::to_string(child) +
+                       " is reached twice from the root";
+            }
+            mark = 1;
+            queue.push_back(child);
+        }
+    }
+    if (queue.size() < nodes.size()) {
+        const auto unreached = std::find(seen.begin(), seen.end(), 0);
+        return "tree node " + std::to_string(unreached - seen.begin()) +
+               " is not reached from the root";
+    }
+    if (levels != depth) {
+        return "tree header depth " + std::to_string(depth) +
+               " but its nodes are " + std::to_string(levels) + " deep";
     }
     return {};
 }

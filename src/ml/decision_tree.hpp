@@ -43,7 +43,7 @@ struct Dataset
  * dataset's row indices sorted by (value, row); a tree derives its
  * bootstrap orders from this by a linear filtering pass instead of
  * sorting — the sort cost is paid once per dataset, not once per tree
- * (let alone once per node, as the legacy scan does). The transposed
+ * (let alone once per node, as a per-node-sort scan does). The transposed
  * feature columns ride along so split sweeps read values from a dense
  * per-feature array instead of striding through the row-major dataset.
  */
@@ -78,15 +78,6 @@ struct TreeOptions
     int minSamplesSplit = 6;
     /** Features tried per split; <=0 means all features. */
     int mtry = 0;
-    /**
-     * Test hook: use the legacy per-node-sort split scan instead of
-     * the presorted engine (TreeBuilder). Both paths are specified to
-     * produce bit-identical trees — ties visit in canonical row order,
-     * sums accumulate in the same sequence — and the equivalence is
-     * pinned by fuzz tests; the legacy scan is kept compiled in only
-     * as that reference.
-     */
-    bool legacySplitScan = false;
 };
 
 /**
@@ -95,6 +86,24 @@ struct TreeOptions
 class DecisionTree
 {
   public:
+    struct Node
+    {
+        std::int32_t feature = -1; ///< -1 marks a leaf.
+        double threshold = 0.0;    ///< Go left when x[feature] <= this.
+        std::int32_t left = -1;
+        std::int32_t right = -1;
+        double value = 0.0; ///< Leaf prediction.
+    };
+
+    DecisionTree() = default;
+
+    /**
+     * A tree from its nodes, numbered as fit() numbers them (preorder:
+     * index 0 is the root, a left subtree precedes its right sibling),
+     * and its depth. FlatForest::tree() decompiles an arena into this.
+     */
+    DecisionTree(std::vector<Node> nodes, int depth);
+
     /**
      * Fit on the rows of @p data selected by @p rows (duplicates allowed,
      * as produced by bootstrap sampling; order is irrelevant — rows are
@@ -125,20 +134,18 @@ class DecisionTree
 
     bool fitted() const { return !_nodes.empty(); }
 
-    /** Write the fitted tree ("tree <n>" header plus one node/line). */
+    /**
+     * The one node-line writer: a "tree <nodes> <depth>" header, then
+     * `feature threshold left right value` per node, doubles at
+     * max_digits10. saveRandomForest reaches it through FlatForest::save.
+     */
     void save(std::ostream &os) const;
 
-    /** Read a tree written by save(); fatal on malformed input. */
+    /**
+     * Read a tree written by save(); fatal on malformed input, or on
+     * nodes that do not form one tree (checkShape).
+     */
     static DecisionTree load(std::istream &is);
-
-    struct Node
-    {
-        std::int32_t feature = -1; ///< -1 marks a leaf.
-        double threshold = 0.0;    ///< Go left when x[feature] <= this.
-        std::int32_t left = -1;
-        std::int32_t right = -1;
-        double value = 0.0; ///< Leaf prediction.
-    };
 
     /**
      * The three steps of load(), public so a loader can spread the
@@ -171,17 +178,23 @@ class DecisionTree
     static std::string parseLines(std::string_view lines,
                                   std::size_t count, std::span<Node> out);
 
+    /**
+     * Whether parsed @p nodes form one tree of depth @p depth: every
+     * node reached exactly once from node 0 through the children of
+     * split nodes, the deepest @p depth levels below it. A child
+     * reached twice (a cycle, or a node shared by two parents), a node
+     * never reached, or a header depth the nodes do not have is an
+     * error, returned as its message; empty on success. parseLines
+     * checks each line alone, so a loader runs this on every tree
+     * before compiling it.
+     */
+    static std::string checkShape(std::span<const Node> nodes, int depth);
+
     /** Read-only node storage (index 0 = root); FlatForest compiles it. */
     const std::vector<Node> &nodes() const { return _nodes; }
 
   private:
     friend class ForestLoader;
-
-    /** Legacy per-node-sort recursion (TreeOptions::legacySplitScan). */
-    std::int32_t build(const Dataset &data,
-                       std::vector<std::uint32_t> &rows, std::size_t begin,
-                       std::size_t end, int depth, const TreeOptions &opts,
-                       Pcg32 &rng, std::vector<std::uint32_t> &scratch);
 
     std::vector<Node> _nodes;
     int _depth = 0;

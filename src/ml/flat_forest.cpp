@@ -6,8 +6,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <utility>
 #include <limits>
+#include <ostream>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "ml/flat_forest_kernels.hpp"
@@ -342,6 +343,55 @@ FlatForest::compile(const DecisionTree &tree)
     ff.buildQuantTables();
     ff._arenaId = nextArenaId();
     return ff;
+}
+
+DecisionTree
+FlatForest::tree(std::size_t t) const
+{
+    GPUPM_ASSERT(t < _roots.size(), "tree index out of range");
+    const std::size_t root = _roots[t];
+    const std::size_t count =
+        (t + 1 < _roots.size() ? _roots[t + 1] : _nodes.size()) - root;
+
+    // Breadth-first slots put every child after its parent. So subtree
+    // sizes accumulate back to front, and preorder numbers go front to
+    // back: a left child follows its parent, a right child follows its
+    // left sibling's subtree.
+    std::vector<std::int32_t> size(count, 1);
+    for (std::size_t s = count; s-- > 0;) {
+        if (_leafIdx[root + s] < 0) {
+            const std::size_t left = s + _nodes[root + s].offset;
+            size[s] += size[left] + size[left + 1];
+        }
+    }
+    std::vector<std::int32_t> pre(count, 0);
+    std::vector<DecisionTree::Node> nodes(count);
+    for (std::size_t s = 0; s < count; ++s) {
+        DecisionTree::Node &n = nodes[static_cast<std::size_t>(pre[s])];
+        const std::int32_t leaf = _leafIdx[root + s];
+        if (leaf >= 0) {
+            n.value = _leafValue[static_cast<std::size_t>(leaf)];
+            continue;
+        }
+        const Node &packed = _nodes[root + s];
+        const std::size_t left = s + packed.offset;
+        n.feature = packed.feature;
+        n.threshold = packed.threshold;
+        n.left = pre[s] + 1;
+        n.right = n.left + size[left];
+        pre[left] = n.left;
+        pre[left + 1] = n.right;
+    }
+    return DecisionTree(std::move(nodes), _depths[t]);
+}
+
+void
+FlatForest::save(std::ostream &os) const
+{
+    GPUPM_ASSERT(compiled(), "cannot save an unfitted forest");
+    os << "forest trees " << _roots.size() << '\n';
+    for (std::size_t t = 0; t < _roots.size(); ++t)
+        tree(t).save(os);
 }
 
 FlatForest

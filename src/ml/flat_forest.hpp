@@ -16,9 +16,8 @@
  *    children are adjacent (one fetch covers both outcomes);
  *  - per node, only what traversal needs, packed into 16 bytes: a
  *    float64 threshold, one int32 relative child offset (left child;
- *    right = left + 1), and an int16 feature index. Half the footprint
- *    of the training representation, and one cache line serves four
- *    nodes;
+ *    right = left + 1), and an int16 feature index. One cache line
+ *    serves four nodes;
  *  - leaves are *self-looping*: threshold +inf, offset 0, so the step
  *    i += offset + (f > threshold) leaves i unchanged. A walker can
  *    therefore run a fixed number of steps - the tree's depth, recorded
@@ -26,6 +25,10 @@
  *    the inner loop at all. The leaf's value index lives in a parallel
  *    per-node table consulted once, after the walk;
  *  - trees are concatenated in one arena with a root-offset table.
+ *
+ * The arena keeps everything a tree holds, only renumbered, so it is
+ * also what a predictor saves from (tree(), save()): once compiled, the
+ * training-format trees can go.
  *
  * predictBatch() traverses tree-major over the whole query batch - one
  * tree's nodes stay cache-resident while all N queries walk it - and
@@ -82,6 +85,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -118,6 +122,23 @@ class FlatForest
      * mean - predictions are needed.
      */
     static FlatForest compile(const DecisionTree &tree);
+
+    /**
+     * Decompile tree @p t: its nodes renumbered back into preorder, the
+     * numbering DecisionTree::fit emits, with leaves as fit leaves them
+     * (feature and both children -1, threshold 0) and split nodes
+     * valued 0, plus the depth the arena walks. For a fitted or loaded
+     * tree that is the source DecisionTree, node for node.
+     */
+    DecisionTree tree(std::size_t t) const;
+
+    /**
+     * Write the forest in the model text format: "forest trees <n>",
+     * then each tree() through DecisionTree::save. Byte-identical to
+     * the text the source trees were fitted into or loaded from, so a
+     * predictor saves from its arenas alone.
+     */
+    void save(std::ostream &os) const;
 
     bool compiled() const { return !_roots.empty(); }
     std::size_t treeCount() const { return _roots.size(); }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <istream>
 #include <limits>
-#include <ostream>
 #include <span>
 #include <string>
 
@@ -159,15 +158,6 @@ RandomForest::oobMape(const Dataset &data) const
     return 100.0 * s / static_cast<double>(n);
 }
 
-void
-RandomForest::save(std::ostream &os) const
-{
-    GPUPM_ASSERT(fitted(), "cannot save an unfitted forest");
-    os << "forest trees " << _trees.size() << '\n';
-    for (const auto &t : _trees)
-        t.save(os);
-}
-
 RandomForest
 RandomForest::load(std::istream &is)
 {
@@ -202,7 +192,8 @@ ForestLoader::read(std::istream &is, RandomForest &out)
     _sections.push_back({&out, _trees.size(), count});
     for (std::size_t t = 0; t < count; ++t) {
         const std::size_t tree = _trees.size();
-        DecisionTree &dt = _trees.emplace_back();
+        Tree &entry = _trees.emplace_back();
+        DecisionTree &dt = entry.tree;
         std::size_t nodes = 0;
         const std::string error =
             DecisionTree::readHeader(is, nodes, dt._depth);
@@ -223,6 +214,7 @@ ForestLoader::read(std::istream &is, RandomForest &out)
             post(tree, text, std::span(dt._nodes).subspan(first, got));
             first += got;
         }
+        release(entry);
     }
 }
 
@@ -232,13 +224,31 @@ ForestLoader::post(std::size_t tree, std::string *text,
 {
     Piece &piece = _pieces.emplace_back();
     piece.tree = tree;
-    const std::size_t count = _trees[tree].nodeCount();
-    _pool->post([this, &piece, text, nodes, count] {
+    Tree &owner = _trees[tree];
+    owner.pending.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t count = owner.tree.nodeCount();
+    _pool->post([this, &piece, &owner, text, nodes, count] {
         piece.error = DecisionTree::parseLines(*text, count, nodes);
-        std::lock_guard lock(_mutex);
-        _free.push_back(text);
-        _returned.notify_one();
+        {
+            std::lock_guard lock(_mutex);
+            _free.push_back(text);
+            _returned.notify_one();
+        }
+        if (!piece.error.empty())
+            owner.failed.store(true, std::memory_order_relaxed);
+        release(owner);
     });
+}
+
+void
+ForestLoader::release(Tree &tree)
+{
+    // acq_rel: the last release sees every piece's nodes and failure.
+    if (tree.pending.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        !tree.failed.load(std::memory_order_relaxed)) {
+        tree.shapeError =
+            DecisionTree::checkShape(tree.tree.nodes(), tree.tree.depth());
+    }
 }
 
 std::string *
@@ -264,9 +274,16 @@ void
 ForestLoader::reportErrors()
 {
     _pool->shutdown();
-    for (const Piece &piece : _pieces) {
-        if (!piece.error.empty())
-            GPUPM_FATAL("tree ", piece.tree, ": ", piece.error);
+    // Pieces are in file order, so a tree's pieces all precede the
+    // next tree's. A tree has a shape error only if they all parsed.
+    auto piece = _pieces.begin();
+    for (std::size_t tree = 0; tree < _trees.size(); ++tree) {
+        for (; piece != _pieces.end() && piece->tree == tree; ++piece) {
+            if (!piece->error.empty())
+                GPUPM_FATAL("tree ", tree, ": ", piece->error);
+        }
+        if (!_trees[tree].shapeError.empty())
+            GPUPM_FATAL("tree ", tree, ": ", _trees[tree].shapeError);
     }
 }
 
@@ -286,7 +303,7 @@ ForestLoader::finish()
         trees.clear();
         trees.reserve(section.count);
         for (std::size_t i = 0; i < section.count; ++i)
-            trees.push_back(std::move(_trees[section.first + i]));
+            trees.push_back(std::move(_trees[section.first + i].tree));
         section.forest->_oob.clear();
     }
     _trees.clear();

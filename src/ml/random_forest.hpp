@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -97,14 +98,10 @@ class RandomForest
     std::size_t totalNodes() const;
 
     /**
-     * Write the fitted forest ("forest trees <n>" plus each tree).
-     * OOB predictions are training artifacts and are not persisted.
-     */
-    void save(std::ostream &os) const;
-
-    /**
-     * Read a forest written by save(); fatal on malformed input. Parses
-     * the trees in parallel (ForestLoader).
+     * Read a forest written by FlatForest::save (compile the forest to
+     * write one); fatal on malformed input. Parses the trees in
+     * parallel (ForestLoader). OOB predictions are training artifacts
+     * and are not persisted.
      */
     static RandomForest load(std::istream &is);
 
@@ -129,12 +126,16 @@ class RandomForest
  * each stays below the allocator's mmap threshold, so the load leaves
  * no freed large block behind to raise it.
  *
- * Errors: no pool task ends the process. A task keeps its piece's
- * error. The reader cuts the whole stream, or stops at the first error
- * of its own (a header, a truncation), then drains the pool and exits
- * through GPUPM_FATAL with the earliest error in file order, as
- * "tree N: <message>" (N counts the stream's trees from 0), so the
- * report never depends on which piece parsed first. A forest or
+ * Each tree whose lines all parsed is checked to form one tree
+ * (DecisionTree::checkShape) before any arena walks it, by the task
+ * that parses its last piece, so the checks overlap the reading.
+ *
+ * Errors: no pool task ends the process. A task keeps its piece's or
+ * its tree's shape error. The reader cuts the whole stream, or stops at
+ * the first error of its own (a header, a truncation), then drains the
+ * pool and exits through GPUPM_FATAL with the earliest error in file
+ * order, as "tree N: <message>" (N counts the stream's trees from 0),
+ * so the report never depends on which piece parsed first. A forest or
  * section header error is reported only when no earlier tree failed.
  */
 class ForestLoader
@@ -169,6 +170,18 @@ class ForestLoader
     void finish();
 
   private:
+    /** A tree being loaded. */
+    struct Tree
+    {
+        DecisionTree tree;
+        /**
+         * Pieces still parsing, plus one while the reader cuts the
+         * tree. Whoever drops it to zero checks the tree's shape.
+         */
+        std::atomic<std::size_t> pending{1};
+        std::atomic<bool> failed{false}; ///< A piece did not parse.
+        std::string shapeError;
+    };
     struct Piece
     {
         std::size_t tree = 0; ///< Index in _trees.
@@ -184,15 +197,19 @@ class ForestLoader
     /** Queue the parse of @p text into @p nodes. */
     void post(std::size_t tree, std::string *text,
               std::span<DecisionTree::Node> nodes);
+    /** Drop one hold on @p tree; the last checks its shape, unless a
+     *  piece failed (its nodes may then hold unchecked children). */
+    static void release(Tree &tree);
     /** A cleared text buffer; waits while every buffer is in flight. */
     std::string *takeBuffer();
-    /** Drain the pool, then exit with the earliest error, if any. */
+    /** Drain the pool, then exit with the earliest error, if any:
+     *  a piece's, or a parsed tree's shape error. */
     void reportErrors();
 
     std::unique_ptr<exec::ThreadPool> _pool;
     /** Trees and pieces in file order; deques, so queued tasks'
      *  elements stay put while the reader appends. */
-    std::deque<DecisionTree> _trees;
+    std::deque<Tree> _trees;
     std::deque<Piece> _pieces;
     std::vector<Section> _sections;
 

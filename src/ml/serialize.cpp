@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -14,14 +15,22 @@ saveRandomForest(const RandomForestPredictor &predictor, std::ostream &os)
     os << "gpupm-rf v1\n";
     os << "features " << numFeatures << '\n';
     os << "target time\n";
-    predictor.timeForest().save(os);
+    predictor.timeFlat().save(os);
     os << "target power\n";
-    predictor.powerForest().save(os);
+    predictor.powerFlat().save(os);
     GPUPM_ASSERT(os.good(), "stream failure while saving predictor");
 }
 
 std::unique_ptr<RandomForestPredictor>
 loadRandomForest(std::istream &is)
+{
+    ModelForests forests = loadForests(is);
+    return std::make_unique<RandomForestPredictor>(
+        std::move(forests.time), std::move(forests.power));
+}
+
+ModelForests
+loadForests(std::istream &is)
 {
     std::string magic, version;
     if (!(is >> magic >> version) || magic != "gpupm-rf" ||
@@ -42,7 +51,7 @@ loadRandomForest(std::istream &is)
     // One loader for both forests, so the power forest's trees are cut
     // while the time forest's still parse. It is gone, and its text
     // buffers with it, before the arenas compile.
-    RandomForest time_forest, power_forest;
+    ModelForests forests;
     {
         ForestLoader loader;
         auto expect_target = [&](const std::string &name) {
@@ -51,14 +60,12 @@ loadRandomForest(std::istream &is)
                 loader.fail("expected 'target " + name + "' section");
         };
         expect_target("time");
-        loader.read(is, time_forest);
+        loader.read(is, forests.time);
         expect_target("power");
-        loader.read(is, power_forest);
+        loader.read(is, forests.power);
         loader.finish();
     }
-
-    return std::make_unique<RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest));
+    return forests;
 }
 
 } // namespace gpupm::ml

@@ -10,16 +10,27 @@
  * Format (line oriented, locale independent):
  *   gpupm-rf v1
  *   features <numFeatures>
- *   forest <name> trees <n>
- *   tree <nodes>
+ *   target time
+ *   forest trees <n>
+ *   tree <nodes> <depth>
  *   <feature> <threshold> <left> <right> <value>   (one per node)
  *   ...
+ *   target power
+ *   forest trees <n>
+ *   ...
+ *
+ * Nodes are in preorder (index 0 is the root). A leaf is
+ * `-1 0 -1 -1 <value>`, a split node `<feature> <threshold> <left>
+ * <right> 0`. The predictor keeps only its compiled arenas, so saving
+ * decompiles them (FlatForest::save); the text is byte-identical to
+ * what the fitted or loaded trees held.
  *
  * Loading is parallel (ForestLoader in random_forest.hpp): the calling
  * thread reads the headers and cuts the node lines into pieces, a
- * transient pool parses and validates them, and the two FlatForest
- * arenas then compile concurrently. The result, and the error a corrupt
- * stream exits with, do not depend on the thread count.
+ * transient pool parses and validates them, each tree is checked to be
+ * one tree, and the two FlatForest arenas then compile concurrently.
+ * The result, and the error a corrupt stream exits with, do not depend
+ * on the thread count.
  */
 
 #pragma once
@@ -39,9 +50,25 @@ void saveRandomForest(const RandomForestPredictor &predictor,
  * Read a predictor previously written by saveRandomForest.
  * Fatal on malformed input or feature-count mismatch (a model trained
  * against a different feature schema must not be loaded silently); a
- * corrupt tree is reported as "tree N: <message>", the earliest in file
- * order when several are corrupt.
+ * corrupt tree, or node lines that do not form one tree, is reported
+ * as "tree N: <message>", the earliest in file order when several are
+ * corrupt.
  */
 std::unique_ptr<RandomForestPredictor> loadRandomForest(std::istream &is);
+
+/** The two training-format forests of a model stream. */
+struct ModelForests
+{
+    RandomForest time;
+    RandomForest power;
+};
+
+/**
+ * The forests loadRandomForest compiles, read with the same checks and
+ * errors. A predictor does not keep them, so a caller that needs the
+ * trees themselves (a scalar reference walk, a second predictor on
+ * the same trees) reads them from the saved text.
+ */
+ModelForests loadForests(std::istream &is);
 
 } // namespace gpupm::ml

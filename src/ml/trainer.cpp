@@ -34,19 +34,18 @@ nextPredictorInstanceId()
 RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
                                              RandomForest power_forest,
                                              SimdMode simd)
-    : _time(std::move(time_forest)), _power(std::move(power_forest)),
-      _timeFlat(FlatForest::reserve(_time)),
-      _powerFlat(FlatForest::reserve(_power)), _simd(simd),
+    : _timeFlat(FlatForest::reserve(time_forest)),
+      _powerFlat(FlatForest::reserve(power_forest)), _simd(simd),
       _instanceId(nextPredictorInstanceId())
 {
-    GPUPM_ASSERT(_time.fitted() && _power.fitted(),
-                 "predictor needs fitted forests");
     // The arenas are independent, and both are allocated above (see
     // FlatForest::reserve): the power arena builds on a helper thread
-    // while this one builds the time arena.
-    auto power = std::async(std::launch::async,
-                            [this] { _powerFlat.build(_power); });
-    _timeFlat.build(_time);
+    // while this one builds the time arena. The arenas hold all a save
+    // needs, so the forests are not kept.
+    auto power = std::async(std::launch::async, [&] {
+        _powerFlat.build(power_forest);
+    });
+    _timeFlat.build(time_forest);
     power.get();
     _timeFlat.setSimdMode(simd);
     _powerFlat.setSimdMode(simd);

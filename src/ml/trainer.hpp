@@ -34,11 +34,14 @@ double instructionProxy(const kernel::KernelCounters &c);
 /**
  * Counter-driven Random Forest predictor (the paper's "RF").
  *
- * Construction compiles both fitted forests into FlatForest arenas;
- * all inference - scalar and batched - runs on the flat engine, with
+ * Construction compiles both fitted forests into FlatForest arenas
+ * and keeps only those; the training-format forests it was given die
+ * with the constructor, and saveRandomForest writes from the arenas.
+ * All inference - scalar and batched - runs on the flat engine, with
  * the kernel-feature prefix computed once per query and the config
- * suffix served from the hardware model's descriptor table. Results are bit-identical
- * to evaluating the retained scalar forests via makeFeatures.
+ * suffix served from the hardware model's descriptor table. In scalar
+ * mode, results are bit-identical to RandomForest::predict on the
+ * source forests via makeFeatures.
  *
  * predictBatch memoizes finished predictions in one PredictionTable
  * per predictor, shared by every thread that calls it (see
@@ -49,6 +52,10 @@ class RandomForestPredictor : public PerfPowerPredictor
 {
   public:
     /**
+     * Reserves both arenas on the calling thread, builds the power
+     * arena on a helper while this thread builds the time arena, then
+     * lets the forests go.
+     *
      * @param simd Inference engine for both compiled forests (see
      * simd.hpp). Fixed for the predictor's lifetime so memoized
      * predictions and residual specializations never mix engines;
@@ -105,10 +112,7 @@ class RandomForestPredictor : public PerfPowerPredictor
 
     std::string name() const override { return "RF"; }
 
-    const RandomForest &timeForest() const { return _time; }
-    const RandomForest &powerForest() const { return _power; }
-
-    /** The compiled inference engines (diagnostics). */
+    /** The compiled forests: inference engines, and what a save writes. */
     const FlatForest &timeFlat() const { return _timeFlat; }
     const FlatForest &powerFlat() const { return _powerFlat; }
 
@@ -130,8 +134,6 @@ class RandomForestPredictor : public PerfPowerPredictor
     const PredictionTable &predictionTable() const { return _table; }
 
   private:
-    RandomForest _time;
-    RandomForest _power;
     FlatForest _timeFlat;
     FlatForest _powerFlat;
     SimdMode _simd;

@@ -25,8 +25,8 @@
  * order and shared by all candidate features.
  *
  * Determinism contract: the builder produces trees bit-identical to the
- * legacy per-node-sort scan (kept compiled in behind
- * TreeOptions::legacySplitScan) — the same splits, the same thresholds,
+ * legacy per-node-sort scan (the reference oracle LegacyScan in
+ * tests/test_decision_tree.cpp) — the same splits, the same thresholds,
  * and the same floating-point sums:
  *
  *  - both paths fit on the canonicalized (ascending-row) bootstrap

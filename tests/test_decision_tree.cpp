@@ -1,14 +1,181 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
-
+#include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "ml/decision_tree.hpp"
 
 namespace gpupm::ml {
 namespace {
+
+/**
+ * The legacy per-node-sort split scan: the reference oracle the
+ * presorted engine (TreeBuilder) must reproduce bit for bit. At every
+ * node it stable-sorts the node's rows by each candidate feature and
+ * sweeps prefix sums for the best threshold, recursing in preorder.
+ */
+class LegacyScan
+{
+  public:
+    /** Fit like DecisionTree::fit: same canonical rows, same rng use. */
+    LegacyScan(const Dataset &data, std::span<const std::uint32_t> rows,
+               const TreeOptions &opts, Pcg32 &rng)
+        : _data(data), _opts(opts), _rng(rng)
+    {
+        // DecisionTree::fit's canonical bootstrap: ascending row order,
+        // duplicates adjacent.
+        std::vector<std::uint32_t> work(rows.begin(), rows.end());
+        std::stable_sort(work.begin(), work.end());
+        build(work, 0, work.size(), 0);
+    }
+
+    std::vector<DecisionTree::Node> nodes;
+    int depth = 0;
+
+  private:
+    struct Split
+    {
+        int feature = -1;
+        double threshold = 0.0;
+        double score = std::numeric_limits<double>::infinity();
+    };
+
+    double
+    mean(std::span<const std::uint32_t> rows) const
+    {
+        double s = 0.0;
+        for (auto r : rows)
+            s += _data.y[r];
+        return rows.empty() ? 0.0 : s / static_cast<double>(rows.size());
+    }
+
+    /**
+     * Best threshold for one feature: stable-sort the node's rows by
+     * it from their canonical order (fixing the visit order of ties),
+     * then score each boundary by the summed child SSE.
+     */
+    Split
+    bestSplit(std::span<const std::uint32_t> rows, int feature,
+              double total_sum, double total_sq)
+    {
+        Split best;
+        best.feature = feature;
+        _scratch.assign(rows.begin(), rows.end());
+        std::stable_sort(_scratch.begin(), _scratch.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return _data.x[a][feature] <
+                                    _data.x[b][feature];
+                         });
+        const std::size_t n = _scratch.size();
+        const auto min_leaf =
+            static_cast<std::size_t>(_opts.minSamplesLeaf);
+        double left_sum = 0.0;
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            left_sum += _data.y[_scratch[i]];
+            const double xv = _data.x[_scratch[i]][feature];
+            const double xn = _data.x[_scratch[i + 1]][feature];
+            const std::size_t nl = i + 1;
+            const std::size_t nr = n - nl;
+            if (xv == xn || nl < min_leaf || nr < min_leaf)
+                continue;
+            const double right_sum = total_sum - left_sum;
+            const double score =
+                total_sq - left_sum * left_sum / static_cast<double>(nl) -
+                right_sum * right_sum / static_cast<double>(nr);
+            if (score < best.score) {
+                best.score = score;
+                best.threshold = 0.5 * (xv + xn);
+            }
+        }
+        return best;
+    }
+
+    std::int32_t
+    build(std::vector<std::uint32_t> &rows, std::size_t begin,
+          std::size_t end, int level)
+    {
+        depth = std::max(depth, level);
+        const auto node_rows =
+            std::span<const std::uint32_t>(rows).subspan(begin, end - begin);
+        const auto leaf = [&] {
+            DecisionTree::Node n;
+            n.value = mean(node_rows);
+            nodes.push_back(n);
+            return static_cast<std::int32_t>(nodes.size() - 1);
+        };
+        if (level >= _opts.maxDepth ||
+            node_rows.size() <
+                static_cast<std::size_t>(_opts.minSamplesSplit)) {
+            return leaf();
+        }
+        if (std::all_of(node_rows.begin(), node_rows.end(),
+                        [&](std::uint32_t r) {
+                            return _data.y[r] == _data.y[node_rows[0]];
+                        })) {
+            return leaf();
+        }
+
+        // mtry candidate features, drawn without replacement.
+        std::array<int, numFeatures> order;
+        std::iota(order.begin(), order.end(), 0);
+        const int tries = _opts.mtry > 0
+                              ? std::min(_opts.mtry, numFeatures)
+                              : numFeatures;
+        for (int i = 0; i < tries; ++i) {
+            const auto j = i + static_cast<int>(_rng.nextBounded(
+                                   static_cast<std::uint32_t>(
+                                       numFeatures - i)));
+            std::swap(order[i], order[j]);
+        }
+        double total_sum = 0.0, total_sq = 0.0;
+        for (auto r : node_rows) {
+            total_sum += _data.y[r];
+            total_sq += _data.y[r] * _data.y[r];
+        }
+        Split best;
+        for (int i = 0; i < tries; ++i) {
+            const Split cand =
+                bestSplit(node_rows, order[i], total_sum, total_sq);
+            if (cand.score < best.score)
+                best = cand;
+        }
+        if (best.feature < 0 || !std::isfinite(best.score))
+            return leaf();
+
+        // Stable, so each child keeps its canonical order.
+        const auto mid_it = std::stable_partition(
+            rows.begin() + static_cast<std::ptrdiff_t>(begin),
+            rows.begin() + static_cast<std::ptrdiff_t>(end),
+            [&](std::uint32_t r) {
+                return _data.x[r][best.feature] <= best.threshold;
+            });
+        const auto mid = static_cast<std::size_t>(mid_it - rows.begin());
+        if (mid == begin || mid == end)
+            return leaf(); // numerical degenerate split
+
+        DecisionTree::Node split;
+        split.feature = best.feature;
+        split.threshold = best.threshold;
+        nodes.push_back(split);
+        const auto idx = static_cast<std::int32_t>(nodes.size() - 1);
+        const auto left = build(rows, begin, mid, level + 1);
+        const auto right = build(rows, mid, end, level + 1);
+        nodes[static_cast<std::size_t>(idx)].left = left;
+        nodes[static_cast<std::size_t>(idx)].right = right;
+        return idx;
+    }
+
+    const Dataset &_data;
+    const TreeOptions &_opts;
+    Pcg32 &_rng;
+    std::vector<std::uint32_t> _scratch;
+};
 
 FeatureVector
 fv(double x, double y = 0.0)
@@ -209,15 +376,13 @@ TEST(DecisionTree, PresortedMatchesLegacyScanOnFuzzedData)
         const std::uint64_t seed = fuzz.nextU32();
         Pcg32 presorted_rng(seed, 0x7e57);
         Pcg32 legacy_rng(seed, 0x7e57);
-        DecisionTree presorted, legacy;
+        DecisionTree presorted;
         presorted.fit(d, rows, opts, presorted_rng);
-        TreeOptions legacy_opts = opts;
-        legacy_opts.legacySplitScan = true;
-        legacy.fit(d, rows, legacy_opts, legacy_rng);
+        const LegacyScan legacy(d, rows, opts, legacy_rng);
 
         std::ostringstream a, b;
         presorted.save(a);
-        legacy.save(b);
+        DecisionTree(legacy.nodes, legacy.depth).save(b);
         ASSERT_EQ(a.str(), b.str())
             << "iter " << iter << " n=" << n << " mtry=" << opts.mtry
             << " maxDepth=" << opts.maxDepth;

@@ -24,6 +24,7 @@
 #include "ml/flat_forest.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/trainer.hpp"
+#include "model_forests.hpp"
 #include "workload/training.hpp"
 
 namespace gpupm::ml {
@@ -123,11 +124,12 @@ TEST(FlatForest, SingleTreeCompileMatchesTree)
 TEST(FlatForest, SaveLoadCompileRoundTrip)
 {
     const auto rf = randomForest(99);
-    std::stringstream ss;
-    rf.save(ss);
-    const auto loaded = RandomForest::load(ss);
     const auto ff = FlatForest::compile(rf);
+    std::stringstream ss;
+    ff.save(ss);
+    const auto loaded = RandomForest::load(ss);
     const auto ff2 = FlatForest::compile(loaded);
+    EXPECT_TRUE(ff.sameArena(ff2));
     EXPECT_EQ(ff.nodeCount(), ff2.nodeCount());
     EXPECT_EQ(ff.leafCount(), ff2.leafCount());
     for (const auto &q : randomQueries(64, 123))
@@ -176,6 +178,7 @@ TEST(FlatForest, PredictorBatchMatchesScalarReference)
     opts.configStride = 8;
     opts.forest.numTrees = 8;
     auto pred = trainRandomForestPredictor(opts);
+    const auto forests = forestsOf(*pred);
 
     const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
     const hw::ConfigSpace space;
@@ -194,8 +197,8 @@ TEST(FlatForest, PredictorBatchMatchesScalarReference)
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             const auto feats = makeFeatures(q.counters, cfgs[i]);
             const double ref_t =
-                std::exp(pred->timeForest().predict(feats)) * proxy;
-            const double ref_p = pred->powerForest().predict(feats);
+                std::exp(forests.time.predict(feats)) * proxy;
+            const double ref_p = forests.power.predict(feats);
             EXPECT_TRUE(bitEqual(batch[i].time, ref_t));
             EXPECT_TRUE(bitEqual(batch[i].gpuPower, ref_p));
             // The scalar entry point must agree with the batch.
@@ -250,6 +253,9 @@ TEST(FlatForest, LoadRejectsCorruptNodes)
     EXPECT_DEATH(DecisionTree::load(bad_feat), "out of range");
     std::stringstream bad_child("tree 2 1\n0 0.5 1 7 0\n-1 0 0 0 1\n");
     EXPECT_DEATH(DecisionTree::load(bad_child), "out of range");
+    std::stringstream shared("tree 3 1\n0 0.5 1 1 0\n-1 0 0 0 1\n"
+                             "-1 0 0 0 2\n");
+    EXPECT_DEATH(DecisionTree::load(shared), "reached twice");
     std::stringstream big_int("tree 1 0\n-1 0 0 99999999999 1.5\n");
     EXPECT_DEATH(DecisionTree::load(big_int), "out of range");
     std::stringstream short_line("tree 1 0\n-1 0 0 0\n");
@@ -281,7 +287,7 @@ TEST(FlatForest, OobMapeOnLoadedForestIsNanNotCrash)
 {
     const auto rf = randomForest(31, 4);
     std::stringstream ss;
-    rf.save(ss);
+    FlatForest::compile(rf).save(ss);
     const auto loaded = RandomForest::load(ss);
     EXPECT_FALSE(loaded.hasOobData());
     const auto d = randomData(50, 9);

@@ -26,9 +26,11 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ml/predictor.hpp"
+#include "model_forests.hpp"
 #include "ml/trainer.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -191,8 +193,9 @@ TEST(FleetDeterminism, ScalarFleetReportsScalarRows)
     // A predictor of its own: the shared forest's table may already
     // hold every prediction this fleet needs, and then no row is
     // walked at all.
+    auto forests = ml::forestsOf(*forest());
     const auto rf = std::make_shared<const ml::RandomForestPredictor>(
-        forest()->timeForest(), forest()->powerForest());
+        std::move(forests.time), std::move(forests.power));
     const auto result = runFleet(rf, goldenFleet(2));
     const auto &c = result.metrics.counters;
     ASSERT_NE(c.find("ml.rows_scalar"), c.end());

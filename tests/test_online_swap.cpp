@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -28,6 +29,7 @@
 #include "hw/model.hpp"
 #include "kernel/counters.hpp"
 #include "kernel/perf_model.hpp"
+#include "model_forests.hpp"
 #include "ml/trainer.hpp"
 #include "online/adaptive_predictor.hpp"
 #include "online/forest_handle.hpp"
@@ -385,8 +387,9 @@ TEST(OnlineLearner, RefitPreservesServingSimdMode)
     // the forests, or generation-keyed memo caches would compare
     // predictions from two different number domains.
     auto &fx = fixture();
+    auto forests = ml::forestsOf(*fx.gens[0]);
     auto g0 = std::make_shared<const ml::RandomForestPredictor>(
-        fx.gens[0]->timeForest(), fx.gens[0]->powerForest(),
+        std::move(forests.time), std::move(forests.power),
         ml::SimdMode::Fallback);
     ASSERT_EQ(g0->simdPath(), ml::SimdPath::FixedPortable);
 

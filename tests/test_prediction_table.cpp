@@ -19,11 +19,13 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hw/config.hpp"
 #include "hw/model.hpp"
 #include "kernel/perf_model.hpp"
+#include "model_forests.hpp"
 #include "ml/simd.hpp"
 #include "ml/trainer.hpp"
 #include "online/adaptive_predictor.hpp"
@@ -80,8 +82,9 @@ std::vector<Prediction>
 coldWalk(const RandomForestPredictor &trained, const PredictionQuery &q,
          std::span<const hw::HwConfig> cs)
 {
-    const RandomForestPredictor fresh(trained.timeForest(),
-                                      trained.powerForest(),
+    auto forests = forestsOf(trained);
+    const RandomForestPredictor fresh(std::move(forests.time),
+                                      std::move(forests.power),
                                       trained.simdMode());
     std::vector<Prediction> out(cs.size());
     for (std::size_t i = 0; i < cs.size(); ++i)
@@ -147,10 +150,11 @@ TEST(PredictorTable, TwoPredictorsOnOneThreadNeverShareValues)
     const auto b = smallPredictor(0x51de);
     // The same forests on another engine: only the instance id tells
     // their entries apart.
+    const auto forests = forestsOf(*a);
     const auto q8 = std::make_shared<const RandomForestPredictor>(
-        a->timeForest(), a->powerForest(), SimdMode::Fallback);
+        forests.time, forests.power, SimdMode::Fallback);
     const auto f64 = std::make_shared<const RandomForestPredictor>(
-        a->timeForest(), a->powerForest(), SimdMode::Scalar);
+        forests.time, forests.power, SimdMode::Scalar);
     const std::vector<std::shared_ptr<const RandomForestPredictor>> preds{
         a, b, q8, f64};
 

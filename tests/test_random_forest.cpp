@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/stats.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/random_forest.hpp"
 
 namespace gpupm::ml {
@@ -148,7 +149,7 @@ TEST(RandomForest, ParallelFitByteIdentical)
     RandomForest serial;
     serial.fit(d, opts); // jobs = 1, exact serial path
     std::ostringstream ref;
-    serial.save(ref);
+    FlatForest::compile(serial).save(ref);
 
     for (const std::size_t jobs : {2u, 8u}) {
         ForestOptions par_opts = opts;
@@ -156,7 +157,7 @@ TEST(RandomForest, ParallelFitByteIdentical)
         RandomForest parallel;
         parallel.fit(d, par_opts);
         std::ostringstream got;
-        parallel.save(got);
+        FlatForest::compile(parallel).save(got);
         EXPECT_EQ(ref.str(), got.str()) << "jobs=" << jobs;
 
         const auto &a = serial.oobPredictions();

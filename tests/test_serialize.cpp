@@ -61,12 +61,14 @@ TEST(Serialize, PreservesForestStructure)
     std::stringstream buffer;
     saveRandomForest(*original, buffer);
     auto loaded = loadRandomForest(buffer);
-    EXPECT_EQ(loaded->timeForest().treeCount(),
-              original->timeForest().treeCount());
-    EXPECT_EQ(loaded->timeForest().totalNodes(),
-              original->timeForest().totalNodes());
-    EXPECT_EQ(loaded->powerForest().totalNodes(),
-              original->powerForest().totalNodes());
+    EXPECT_EQ(loaded->timeFlat().treeCount(),
+              original->timeFlat().treeCount());
+    EXPECT_EQ(loaded->timeFlat().nodeCount(),
+              original->timeFlat().nodeCount());
+    EXPECT_EQ(loaded->powerFlat().nodeCount(),
+              original->powerFlat().nodeCount());
+    EXPECT_TRUE(loaded->timeFlat().sameArena(original->timeFlat()));
+    EXPECT_TRUE(loaded->powerFlat().sameArena(original->powerFlat()));
 }
 
 TEST(Serialize, RejectsGarbage)
@@ -106,8 +108,8 @@ TEST(Serialize, TreeSaveRequiresFit)
     DecisionTree t;
     std::stringstream s;
     EXPECT_DEATH(t.save(s), "unfitted");
-    RandomForest rf;
-    EXPECT_DEATH(rf.save(s), "unfitted");
+    FlatForest ff;
+    EXPECT_DEATH(ff.save(s), "unfitted");
 }
 
 } // namespace
