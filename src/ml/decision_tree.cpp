@@ -45,7 +45,7 @@ DatasetOrder::build(const Dataset &data)
     return order;
 }
 
-DecisionTree::DecisionTree(std::vector<Node> nodes, int depth)
+DecisionTree::DecisionTree(Nodes nodes, int depth)
     : _nodes(std::move(nodes)), _depth(depth)
 {
 }

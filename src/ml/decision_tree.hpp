@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
 #include "ml/features.hpp"
 
@@ -95,6 +96,14 @@ class DecisionTree
         double value = 0.0; ///< Leaf prediction.
     };
 
+    /**
+     * A tree's nodes. A loaded model's trees live only until its arenas
+     * compile, and a tree of the default forest (~400 KB) is mapped
+     * whole, so the ~48 MB of parsed nodes go back to the kernel
+     * instead of staying in the heap as free space (PageAllocator).
+     */
+    using Nodes = std::vector<Node, PageAllocator<Node>>;
+
     DecisionTree() = default;
 
     /**
@@ -102,7 +111,7 @@ class DecisionTree
      * index 0 is the root, a left subtree precedes its right sibling),
      * and its depth. FlatForest::tree() decompiles an arena into this.
      */
-    DecisionTree(std::vector<Node> nodes, int depth);
+    DecisionTree(Nodes nodes, int depth);
 
     /**
      * Fit on the rows of @p data selected by @p rows (duplicates allowed,
@@ -191,12 +200,12 @@ class DecisionTree
     static std::string checkShape(std::span<const Node> nodes, int depth);
 
     /** Read-only node storage (index 0 = root); FlatForest compiles it. */
-    const std::vector<Node> &nodes() const { return _nodes; }
+    const Nodes &nodes() const { return _nodes; }
 
   private:
     friend class ForestLoader;
 
-    std::vector<Node> _nodes;
+    Nodes _nodes;
     int _depth = 0;
 };
 

@@ -73,7 +73,7 @@ nextArenaId()
 } // namespace
 
 void
-FlatForest::appendTree(const std::vector<DecisionTree::Node> &nodes)
+FlatForest::appendTree(std::span<const DecisionTree::Node> nodes)
 {
     GPUPM_ASSERT(!nodes.empty(), "cannot compile an empty tree");
     _roots.push_back(static_cast<std::uint32_t>(_nodes.size()));
@@ -328,6 +328,24 @@ FlatForest::build(const RandomForest &rf)
     GPUPM_ASSERT(!compiled(), "build on a compiled FlatForest");
     for (const auto &tree : rf.trees())
         appendTree(tree.nodes());
+    seal();
+}
+
+void
+FlatForest::build(RandomForest &&rf)
+{
+    GPUPM_ASSERT(!compiled(), "build on a compiled FlatForest");
+    std::vector<DecisionTree> trees = std::move(rf).takeTrees();
+    for (DecisionTree &tree : trees) {
+        appendTree(tree.nodes());
+        tree = DecisionTree();
+    }
+    seal();
+}
+
+void
+FlatForest::seal()
+{
     finalizeWalkOrder();
     buildQuantTables();
     _arenaId = nextArenaId();
@@ -339,9 +357,7 @@ FlatForest::compile(const DecisionTree &tree)
     GPUPM_ASSERT(tree.fitted(), "cannot compile an unfitted tree");
     FlatForest ff;
     ff.appendTree(tree.nodes());
-    ff.finalizeWalkOrder();
-    ff.buildQuantTables();
-    ff._arenaId = nextArenaId();
+    ff.seal();
     return ff;
 }
 
@@ -365,7 +381,7 @@ FlatForest::tree(std::size_t t) const
         }
     }
     std::vector<std::int32_t> pre(count, 0);
-    std::vector<DecisionTree::Node> nodes(count);
+    DecisionTree::Nodes nodes(count);
     for (std::size_t s = 0; s < count; ++s) {
         DecisionTree::Node &n = nodes[static_cast<std::size_t>(pre[s])];
         const std::int32_t leaf = _leafIdx[root + s];

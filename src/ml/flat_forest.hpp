@@ -117,6 +117,14 @@ class FlatForest
     void build(const RandomForest &rf);
 
     /**
+     * build(), freeing each tree's nodes as soon as they are copied.
+     * Trees of the default forest are whole mapped pages
+     * (DecisionTree::Nodes), so the parsed copy of a loaded model
+     * shrinks as its arena fills and a load never holds both in full.
+     */
+    void build(RandomForest &&rf);
+
+    /**
      * Compile a single fitted tree (a one-tree forest). Used for the
      * out-of-bag accumulation during training, where per-tree - not
      * mean - predictions are needed.
@@ -305,7 +313,7 @@ class FlatForest
     static_assert(kCacheLineBytes % sizeof(Node) == 0,
                   "a cache line must hold whole node records");
 
-    void appendTree(const std::vector<DecisionTree::Node> &nodes);
+    void appendTree(std::span<const DecisionTree::Node> nodes);
 
     double predictOne(const FeatureVector &f,
                       std::span<double> leaf_scratch) const;
@@ -377,6 +385,10 @@ class FlatForest
      * order regardless.
      */
     void finalizeWalkOrder();
+
+    /** The last steps of every compile: walk order, quantized
+     *  mirror, a fresh arena id. */
+    void seal();
 
     AlignedVector<Node> _nodes;         ///< BFS arena, all trees.
     std::vector<std::int32_t> _leafIdx; ///< Per arena slot: leaf-value

@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ml/decision_tree.hpp"
@@ -93,6 +94,13 @@ class RandomForest
 
     /** Read-only tree access (FlatForest compiles from it). */
     const std::vector<DecisionTree> &trees() const { return _trees; }
+
+    /** Move the trees out, leaving this forest unfitted. */
+    std::vector<DecisionTree> takeTrees() &&
+    {
+        _oob.clear();
+        return std::exchange(_trees, {});
+    }
 
     /** Total node count across trees (memory/latency diagnostics). */
     std::size_t totalNodes() const;

@@ -41,11 +41,11 @@ RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
     // The arenas are independent, and both are allocated above (see
     // FlatForest::reserve): the power arena builds on a helper thread
     // while this one builds the time arena. The arenas hold all a save
-    // needs, so the forests are not kept.
+    // needs, so each tree is freed as soon as it is copied.
     auto power = std::async(std::launch::async, [&] {
-        _powerFlat.build(power_forest);
+        _powerFlat.build(std::move(power_forest));
     });
-    _timeFlat.build(time_forest);
+    _timeFlat.build(std::move(time_forest));
     power.get();
     _timeFlat.setSimdMode(simd);
     _powerFlat.setSimdMode(simd);

@@ -35,8 +35,9 @@ double instructionProxy(const kernel::KernelCounters &c);
  * Counter-driven Random Forest predictor (the paper's "RF").
  *
  * Construction compiles both fitted forests into FlatForest arenas
- * and keeps only those; the training-format forests it was given die
- * with the constructor, and saveRandomForest writes from the arenas.
+ * and keeps only those; each tree of the training-format forests it was
+ * given is freed once copied, and saveRandomForest writes from the
+ * arenas.
  * All inference - scalar and batched - runs on the flat engine, with
  * the kernel-feature prefix computed once per query and the config
  * suffix served from the hardware model's descriptor table. In scalar
@@ -53,8 +54,8 @@ class RandomForestPredictor : public PerfPowerPredictor
   public:
     /**
      * Reserves both arenas on the calling thread, builds the power
-     * arena on a helper while this thread builds the time arena, then
-     * lets the forests go.
+     * arena on a helper while this thread builds the time arena,
+     * freeing each tree as it is copied.
      *
      * @param simd Inference engine for both compiled forests (see
      * simd.hpp). Fixed for the predictor's lifetime so memoized

@@ -15,7 +15,7 @@ void
 TreeBuilder::fit(const Dataset &data, const DatasetOrder &order,
                  std::span<const std::uint32_t> rows,
                  const TreeOptions &opts, Pcg32 &rng,
-                 std::vector<DecisionTree::Node> &nodes, int &depth)
+                 DecisionTree::Nodes &nodes, int &depth)
 {
     GPUPM_ASSERT(!rows.empty(), "cannot fit a tree on zero rows");
     GPUPM_ASSERT(order.rows() == data.size(),

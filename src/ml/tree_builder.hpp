@@ -69,7 +69,7 @@ class TreeBuilder
      */
     void fit(const Dataset &data, const DatasetOrder &order,
              std::span<const std::uint32_t> rows, const TreeOptions &opts,
-             Pcg32 &rng, std::vector<DecisionTree::Node> &nodes,
+             Pcg32 &rng, DecisionTree::Nodes &nodes,
              int &depth);
 
   private:
@@ -103,7 +103,7 @@ class TreeBuilder
     const DatasetOrder *_shared = nullptr;
     const TreeOptions *_opts = nullptr;
     Pcg32 *_rng = nullptr;
-    std::vector<DecisionTree::Node> *_nodes = nullptr;
+    DecisionTree::Nodes *_nodes = nullptr;
     int _depth = 0;
     std::size_t _d = 0; ///< Distinct drawn rows (order length).
 

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <sstream>
 #include <vector>
+
+#include <unistd.h>
 
 #include "ml/decision_tree.hpp"
 
@@ -35,7 +38,7 @@ class LegacyScan
         build(work, 0, work.size(), 0);
     }
 
-    std::vector<DecisionTree::Node> nodes;
+    DecisionTree::Nodes nodes;
     int depth = 0;
 
   private:
@@ -317,6 +320,22 @@ TEST(DecisionTree, DuplicateRowsAllowed)
     t.fit(d, rows, opts, rng);
     EXPECT_DOUBLE_EQ(t.predict(fv(1.0)), 1.0);
     EXPECT_DOUBLE_EQ(t.predict(fv(2.0)), 2.0);
+}
+
+TEST(DecisionTree, LargeNodeBlocksAreMappedPages)
+{
+    // A block of kDirectMapBytes or more is whole pages from the
+    // kernel (a malloc block starts past its chunk header, never on a
+    // page boundary), so freeing a loaded tree leaves no free heap.
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    DecisionTree::Nodes big(kDirectMapBytes / sizeof(DecisionTree::Node));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % page, 0u);
+    big.back().value = 1.0;
+    DecisionTree::Nodes small(4);
+    small.back().value = 2.0;
+    EXPECT_NE(reinterpret_cast<std::uintptr_t>(small.data()) % page, 0u);
+    const DecisionTree tree(std::move(big), 0);
+    EXPECT_EQ(tree.nodes().back().value, 1.0);
 }
 
 TEST(DecisionTree, EmptyFitDies)

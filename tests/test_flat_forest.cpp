@@ -136,6 +136,18 @@ TEST(FlatForest, SaveLoadCompileRoundTrip)
         EXPECT_TRUE(bitEqual(ff.predict(q), ff2.predict(q)));
 }
 
+TEST(FlatForest, ConsumingBuildEqualsCompile)
+{
+    // The predictor's build frees each tree as soon as it is copied;
+    // the arena it leaves is the one compile() makes of the same trees.
+    const auto rf = randomForest(17);
+    RandomForest consumed = rf;
+    FlatForest ff = FlatForest::reserve(consumed);
+    ff.build(std::move(consumed));
+    EXPECT_TRUE(ff.sameArena(FlatForest::compile(rf)));
+    EXPECT_FALSE(consumed.fitted()); // takeTrees() leaves it empty
+}
+
 TEST(FlatForest, SpecializeBitIdenticalForMatchingPrefix)
 {
     const auto rf = randomForest(1234, 10);

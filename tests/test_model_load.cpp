@@ -261,7 +261,7 @@ TEST(ModelLoad, LastLineWithoutNewlineLoads)
  */
 std::int32_t
 growTree(Pcg32 &rng, int level, int max_depth, bool lopsided,
-         std::vector<DecisionTree::Node> &nodes, int &depth)
+         DecisionTree::Nodes &nodes, int &depth)
 {
     depth = std::max(depth, level);
     const auto at = static_cast<std::int32_t>(nodes.size());
@@ -305,7 +305,7 @@ TEST(ModelLoad, DecompiledTreesEqualFuzzedSources)
     for (int i = 0; i < 96; ++i) {
         const int max_depth = i % 17;
         const bool lopsided = i % 3 == 1;
-        std::vector<DecisionTree::Node> nodes;
+        DecisionTree::Nodes nodes;
         int depth = 0;
         growTree(rng, 0, max_depth, lopsided, nodes, depth);
         const DecisionTree source(nodes, depth);
