@@ -29,12 +29,11 @@
  * The committed baseline lives at docs/perf/BENCH_powercap.json; the
  * bench-powercap-compare target gates it. It was recorded on a 4-vCPU
  * x86-64 VM (2.0 GHz, AVX2) with the default RelWithDebInfo build,
- * google-benchmark's library as packaged (reports a debug build), and
- * --simd=auto resolving to avx2/int16. perf_compare.py refuses a
- * candidate whose CPU count, benchmark library build type or inference
- * engine differs. Regenerate with:
+ * google-benchmark's library as packaged (reports a debug build).
+ * perf_compare.py refuses a candidate whose CPU count or benchmark
+ * library build type differs. Regenerate with:
  *
- *     ./build/bench/bench_fleet_powercap --simd=auto \
+ *     ./build/bench/bench_fleet_powercap \
  *         --benchmark_out=docs/perf/BENCH_powercap.json \
  *         --benchmark_out_format=json
  */
@@ -44,7 +43,6 @@
 #include <map>
 #include <memory>
 
-#include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "ml/trainer.hpp"
 #include "serve/server.hpp"
@@ -206,8 +204,4 @@ BENCHMARK(BM_FleetPowercapUsageSplit)
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    return bench::simdBenchmarkMain(argc, argv);
-}
+BENCHMARK_MAIN();

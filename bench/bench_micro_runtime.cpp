@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_simd_main.hpp"
 #include "harness.hpp"
 #include "kernel/perf_model.hpp"
 #include "ml/features.hpp"
@@ -389,8 +388,4 @@ BENCHMARK(BM_McpSteadyStateRunSpmv)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    return bench::simdBenchmarkMain(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -1,11 +1,11 @@
 /**
  * @file
- * Cache-line-aligned vector storage for gather-friendly arenas.
+ * Cache-line-aligned vector storage for packed node arenas.
  *
  * std::vector's default allocator only guarantees
  * alignof(std::max_align_t) (16 on x86-64), so a packed node arena can
  * start mid cache line and a 64-byte group of records then straddles
- * two lines - every SIMD gather over it pays a split-line penalty.
+ * two lines - every walk over it pays a split-line penalty.
  * AlignedVector pins the allocation to a 64-byte boundary instead;
  * combined with record strides that divide 64 this makes "never
  * straddles a cache line" a structural property rather than an

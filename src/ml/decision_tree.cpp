@@ -335,9 +335,11 @@ DecisionTree::predict(const FeatureVector &f) const
         const Node &n = _nodes[static_cast<std::size_t>(i)];
         if (n.feature < 0)
             return n.value;
-        i = f[static_cast<std::size_t>(n.feature)] <= n.threshold
-                ? n.left
-                : n.right;
+        // Right iff f > threshold, as FlatForest walks: a NaN feature
+        // goes left in every engine.
+        i = f[static_cast<std::size_t>(n.feature)] > n.threshold
+                ? n.right
+                : n.left;
     }
 }
 

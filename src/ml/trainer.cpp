@@ -32,10 +32,9 @@ nextPredictorInstanceId()
 } // namespace
 
 RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
-                                             RandomForest power_forest,
-                                             SimdMode simd)
+                                             RandomForest power_forest)
     : _timeFlat(FlatForest::reserve(time_forest)),
-      _powerFlat(FlatForest::reserve(power_forest)), _simd(simd),
+      _powerFlat(FlatForest::reserve(power_forest)),
       _instanceId(nextPredictorInstanceId())
 {
     // The arenas are independent, and both are allocated above (see
@@ -47,8 +46,6 @@ RandomForestPredictor::RandomForestPredictor(RandomForest time_forest,
     });
     _timeFlat.build(std::move(time_forest));
     power.get();
-    _timeFlat.setSimdMode(simd);
-    _powerFlat.setSimdMode(simd);
 }
 
 Prediction
@@ -182,12 +179,11 @@ RandomForestPredictor::predictBatch(const PredictionQuery &q,
 
     if (!entry) {
         // Cold single query (n >= 2 always claims an entry). Routed
-        // through the flat engines - not the scalar recursive walk -
-        // so the answer comes from the *same* engine (and, in a
-        // quantized mode, the same rounding) as the batched paths:
-        // a prediction must be a pure function of (counters, model,
-        // config, mode), never of cache state. Bit-identical to the
-        // recursive walk in scalar mode.
+        // through the flat engines - not the recursive walk - so the
+        // answer comes from the *same* engine as the batched paths: a
+        // prediction must be a pure function of (counters, model,
+        // config), never of cache state. Bit-identical to the
+        // recursive walk.
         const auto kf = makeKernelFeatures(q.counters);
         const double proxy = instructionProxy(q.counters);
         const auto f = combineFeatures(kf, model->descriptor(cs[0]));
@@ -340,7 +336,7 @@ trainRandomForestPredictor(const TrainerOptions &opts,
     }
 
     return std::make_unique<RandomForestPredictor>(
-        std::move(time_forest), std::move(power_forest), opts.simd);
+        std::move(time_forest), std::move(power_forest));
 }
 
 EvalReport

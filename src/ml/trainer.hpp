@@ -20,6 +20,7 @@
 #include "ml/prediction_table.hpp"
 #include "ml/predictor.hpp"
 #include "ml/random_forest.hpp"
+#include "ml/simd.hpp"
 
 namespace gpupm::ml {
 
@@ -40,9 +41,9 @@ double instructionProxy(const kernel::KernelCounters &c);
  * arenas.
  * All inference - scalar and batched - runs on the flat engine, with
  * the kernel-feature prefix computed once per query and the config
- * suffix served from the hardware model's descriptor table. In scalar
- * mode, results are bit-identical to RandomForest::predict on the
- * source forests via makeFeatures.
+ * suffix served from the hardware model's descriptor table. Results
+ * are bit-identical to RandomForest::predict on the source forests via
+ * makeFeatures.
  *
  * predictBatch memoizes finished predictions in one PredictionTable
  * per predictor, shared by every thread that calls it (see
@@ -56,15 +57,9 @@ class RandomForestPredictor : public PerfPowerPredictor
      * Reserves both arenas on the calling thread, builds the power
      * arena on a helper while this thread builds the time arena,
      * freeing each tree as it is copied.
-     *
-     * @param simd Inference engine for both compiled forests (see
-     * simd.hpp). Fixed for the predictor's lifetime so memoized
-     * predictions and residual specializations never mix engines;
-     * online refits propagate the serving generation's mode.
      */
     RandomForestPredictor(RandomForest time_forest,
-                          RandomForest power_forest,
-                          SimdMode simd = defaultSimdMode());
+                          RandomForest power_forest);
 
     Prediction predict(const PredictionQuery &q,
                        const hw::HwConfig &c) const override;
@@ -85,8 +80,7 @@ class RandomForestPredictor : public PerfPowerPredictor
      * many configs as an exhaustive scan does, residual forests
      * specialized for the kernel and dropped after the batch. Every
      * path returns the same bits, so a value is a pure function of
-     * (counters, model, config, SIMD mode), whichever thread filled
-     * the slot.
+     * (counters, model, config), whichever thread filled the slot.
      */
     void predictBatch(const PredictionQuery &q,
                       std::span<const hw::HwConfig> cs,
@@ -117,10 +111,9 @@ class RandomForestPredictor : public PerfPowerPredictor
     const FlatForest &timeFlat() const { return _timeFlat; }
     const FlatForest &powerFlat() const { return _powerFlat; }
 
-    /** Requested inference engine (construction-time, immutable). */
-    SimdMode simdMode() const { return _simd; }
-    /** The execution path the mode resolved to on this host. */
-    SimdPath simdPath() const { return _timeFlat.simdPath(); }
+    /** The inference engine, for the perfbench config stamp. */
+    SimdMode simdMode() const { return SimdMode::Scalar; }
+    SimdPath simdPath() const { return SimdPath::Float64; }
 
     /**
      * Process-unique identity of this predictor instance. Caches keyed
@@ -137,7 +130,6 @@ class RandomForestPredictor : public PerfPowerPredictor
   private:
     FlatForest _timeFlat;
     FlatForest _powerFlat;
-    SimdMode _simd;
     std::uint64_t _instanceId;
     mutable PredictionTable _table;
 };
@@ -160,13 +152,6 @@ struct TrainerOptions
      * sums reduce in tree order (see ForestOptions::jobs).
      */
     std::size_t jobs = 1;
-    /**
-     * Inference engine for the trained predictor (`--simd` flag /
-     * GPUPM_SIMD env; see simd.hpp). Training itself - splits, OOB
-     * accumulation - always runs the float path; this only selects
-     * how the resulting predictor evaluates.
-     */
-    SimdMode simd = defaultSimdMode();
     ForestOptions forest = ForestOptions::regressionDefaults();
 };
 

@@ -49,8 +49,8 @@ solveMinEnergy(const std::vector<std::vector<KnapsackOption>> &items,
     const auto bins = static_cast<std::int64_t>(time_bins);
     constexpr double inf = std::numeric_limits<double>::infinity();
 
-    // Quantized option weights (ceil keeps the solution conservative:
-    // if the quantized total fits, the real total fits).
+    // Binned option weights (ceil keeps the solution conservative:
+    // if the binned total fits, the real total fits).
     std::vector<std::vector<std::int64_t>> weight(n);
     for (std::size_t j = 0; j < n; ++j) {
         weight[j].reserve(pruned[j].size());
@@ -60,7 +60,7 @@ solveMinEnergy(const std::vector<std::vector<KnapsackOption>> &items,
         }
     }
 
-    // dp[b] = min energy of the items so far with quantized time <= b.
+    // dp[b] = min energy of the items so far with binned time <= b.
     std::vector<double> dp(static_cast<std::size_t>(bins) + 1, 0.0);
     std::vector<double> next(dp.size());
     // choice[j][b]: option index realizing dp after item j at bin b.

@@ -53,7 +53,7 @@ paretoPrune(std::vector<KnapsackOption> options);
  *
  * @param items Per-item option lists (not necessarily pruned).
  * @param budget Time budget in seconds.
- * @param time_bins Discretization resolution of the DP (quantization
+ * @param time_bins Discretization resolution of the DP (binning
  *        error is bounded by items.size() * budget / time_bins).
  *
  * When infeasible, returns the fastest assignment with feasible=false

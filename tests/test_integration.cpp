@@ -73,7 +73,7 @@ TEST_P(SchemeOrdering, OracleDominatesMpc)
 
     // MPC in limit-study form (no overheads, full horizon, perfect
     // prediction) must not beat the optimal plan by more than the DP
-    // quantization slack.
+    // discretization slack.
     mpc::MpcOptions limit;
     limit.chargeOverhead = false;
     limit.overhead = policy::OverheadModel::free();

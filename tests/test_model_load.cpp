@@ -159,7 +159,7 @@ TEST(ModelLoad, ArenasEqualCompileOfInMemoryForests)
     EXPECT_FALSE(time.sameArena(power));
 }
 
-TEST(ModelLoad, PredictionsBitIdenticalUnderScalarAndFallback)
+TEST(ModelLoad, PredictionsBitIdenticalToTrained)
 {
     // The trained forests and the loaded ones, each read back from what
     // its predictor saves.
@@ -168,23 +168,21 @@ TEST(ModelLoad, PredictionsBitIdenticalUnderScalarAndFallback)
     const kernel::GroundTruthModel model{hw::ApuParams::defaults()};
     const hw::ConfigSpace space;
     const auto &cfgs = space.all();
-    for (const SimdMode mode : {SimdMode::Scalar, SimdMode::Fallback}) {
-        const RandomForestPredictor a(trained_forests.time,
-                                      trained_forests.power, mode);
-        const RandomForestPredictor b(loaded_forests.time,
-                                      loaded_forests.power, mode);
-        for (const auto &k : workload::trainingCorpus(3, 0x10ad)) {
-            const auto c0 = hw::ConfigSpace::maxPerformance();
-            PredictionQuery q;
-            q.counters = model.counters(k, c0, model.estimate(k, c0));
-            q.instructions = k.instructions();
-            std::vector<Prediction> pa(cfgs.size()), pb(cfgs.size());
-            a.predictBatch(q, cfgs, pa);
-            b.predictBatch(q, cfgs, pb);
-            for (std::size_t i = 0; i < cfgs.size(); ++i) {
-                EXPECT_TRUE(bitEqual(pa[i].time, pb[i].time));
-                EXPECT_TRUE(bitEqual(pa[i].gpuPower, pb[i].gpuPower));
-            }
+    const RandomForestPredictor a(trained_forests.time,
+                                  trained_forests.power);
+    const RandomForestPredictor b(loaded_forests.time,
+                                  loaded_forests.power);
+    for (const auto &k : workload::trainingCorpus(3, 0x10ad)) {
+        const auto c0 = hw::ConfigSpace::maxPerformance();
+        PredictionQuery q;
+        q.counters = model.counters(k, c0, model.estimate(k, c0));
+        q.instructions = k.instructions();
+        std::vector<Prediction> pa(cfgs.size()), pb(cfgs.size());
+        a.predictBatch(q, cfgs, pa);
+        b.predictBatch(q, cfgs, pb);
+        for (std::size_t i = 0; i < cfgs.size(); ++i) {
+            EXPECT_TRUE(bitEqual(pa[i].time, pb[i].time));
+            EXPECT_TRUE(bitEqual(pa[i].gpuPower, pb[i].gpuPower));
         }
     }
 }

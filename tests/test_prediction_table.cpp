@@ -8,8 +8,7 @@
  * bounded table, whichever model scores them, and across an online
  * refit. A fleet's sessions share the table of the one predictor they
  * are served by. Run it under TSan (tools/run_sanitizers.sh) for the
- * lock-free hit path; run it with GPUPM_SIMD set for the quantized
- * engines.
+ * lock-free hit path.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,7 @@
 #include "hw/model.hpp"
 #include "kernel/perf_model.hpp"
 #include "model_forests.hpp"
-#include "ml/simd.hpp"
+#include "ml/flat_forest.hpp"
 #include "ml/trainer.hpp"
 #include "online/adaptive_predictor.hpp"
 #include "online/forest_handle.hpp"
@@ -84,8 +83,7 @@ coldWalk(const RandomForestPredictor &trained, const PredictionQuery &q,
 {
     auto forests = forestsOf(trained);
     const RandomForestPredictor fresh(std::move(forests.time),
-                                      std::move(forests.power),
-                                      trained.simdMode());
+                                      std::move(forests.power));
     std::vector<Prediction> out(cs.size());
     for (std::size_t i = 0; i < cs.size(); ++i)
         out[i] = fresh.predict(q, cs[i]);
@@ -148,15 +146,13 @@ TEST(PredictorTable, TwoPredictorsOnOneThreadNeverShareValues)
 {
     const auto a = smallPredictor(0x7a41);
     const auto b = smallPredictor(0x51de);
-    // The same forests on another engine: only the instance id tells
-    // their entries apart.
-    const auto forests = forestsOf(*a);
-    const auto q8 = std::make_shared<const RandomForestPredictor>(
-        forests.time, forests.power, SimdMode::Fallback);
-    const auto f64 = std::make_shared<const RandomForestPredictor>(
-        forests.time, forests.power, SimdMode::Scalar);
+    // The same forests again: only the instance id tells its entries
+    // from a's.
+    auto forests = forestsOf(*a);
+    const auto twin = std::make_shared<const RandomForestPredictor>(
+        std::move(forests.time), std::move(forests.power));
     const std::vector<std::shared_ptr<const RandomForestPredictor>> preds{
-        a, b, q8, f64};
+        a, b, twin};
 
     const auto q = kernelQueries(1)[0];
     const hw::ConfigSpace space;
@@ -183,9 +179,8 @@ TEST(PredictorTable, TwoPredictorsOnOneThreadNeverShareValues)
                 bitEqual(preds[p]->predict(q, cfgs[7]), expected[p][7]));
         }
     }
-    // A small forest's quantized and float walks may agree bit for bit,
-    // so the engine pair is told apart by its entries: each predictor
-    // claimed one of its own.
+    // a and its twin agree bit for bit, so they are told apart by
+    // their entries: each predictor claimed one of its own.
     for (const auto &p : preds)
         EXPECT_EQ(p->predictionTable().liveEntries(), 1u);
 }
@@ -263,14 +258,6 @@ TEST(PredictorTable, RefitUnderAdaptivePredictorServesNoOldValue)
                               "nothing";
 }
 
-/** Rows walked by every flat forest in the process so far. */
-std::uint64_t
-rowsWalked()
-{
-    const auto s = simdRowStats();
-    return s.scalar + s.fallback + s.avx2;
-}
-
 TEST(PredictorTable, DifferentHardwareModelsNeverShareValues)
 {
     const auto rf = smallPredictor(0x7a41);
@@ -292,9 +279,9 @@ TEST(PredictorTable, DifferentHardwareModelsNeverShareValues)
         const auto want = coldWalk(*rf, q, cfgs);
         // A kernel another model already scored is walked again (by
         // the time and the power forest), into an entry of its own.
-        const std::uint64_t before = rowsWalked();
+        const std::uint64_t before = FlatForest::rowsWalked();
         rf->predictBatch(q, cfgs, out);
-        EXPECT_EQ(rowsWalked() - before, 2 * cfgs.size())
+        EXPECT_EQ(FlatForest::rowsWalked() - before, 2 * cfgs.size())
             << models[m]->name() << " was served another model's values";
         EXPECT_EQ(rf->predictionTable().liveEntries(), m + 1);
         for (std::size_t i = 0; i < cfgs.size(); ++i)
@@ -334,16 +321,16 @@ TEST(PredictorTable, SecondSessionOnTheSameKernelWalksNoRows)
         return configs;
     };
 
-    std::uint64_t before = rowsWalked();
+    std::uint64_t before = FlatForest::rowsWalked();
     const auto first = play();
-    ASSERT_GT(rowsWalked(), before);
+    ASSERT_GT(FlatForest::rowsWalked(), before);
     const std::size_t live = rf->predictionTable().liveEntries();
     ASSERT_GT(live, 0u);
 
     // Another tenant on the same application is served from the table.
-    before = rowsWalked();
+    before = FlatForest::rowsWalked();
     EXPECT_EQ(play(), first);
-    EXPECT_EQ(rowsWalked(), before);
+    EXPECT_EQ(FlatForest::rowsWalked(), before);
     EXPECT_EQ(rf->predictionTable().liveEntries(), live);
 }
 

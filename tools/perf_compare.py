@@ -20,18 +20,9 @@ per-percentile comparison too. Tail latency is far noisier than mean
 rate, so percentiles gate on their own --percentile-threshold (default
 50%, p99 only); p50/p95 deltas are always printed but informational.
 
-Both files must come from the same inference engine: the bench mains
-stamp the resolved SIMD path and quantization domain into the JSON
-context (gpupm_simd_path / gpupm_quant; files predating the keys read
-as scalar/float64), and mismatched runs are refused with exit code 2 -
-a quantized AVX2 candidate "beating" a float baseline is an engine
-change, not a like-for-like result. Pass --allow-simd-mismatch for the
-deliberate cross-engine comparison (e.g. quantifying the quantized
-speedup itself).
-
-Both files must also come from the same host shape: google-benchmark's
+Both files must come from the same host shape: google-benchmark's
 context records num_cpus and library_build_type, and a mismatch in
-either is refused with exit code 2 the same way - a 4-CPU candidate
+either is refused with exit code 2 - a 4-CPU candidate
 "beating" a 1-CPU baseline, or a release library against a debug one,
 measures the host, not the change. --allow-cpu-mismatch and
 --allow-build-type-mismatch override each check for a deliberate
@@ -57,10 +48,6 @@ def load_context(path):
 
 # (what differs, how to read it from a context, override flag)
 CONTEXT_CHECKS = (
-    ("inference engines",
-     lambda c: "/".join((c.get("gpupm_simd_path", "scalar"),
-                         c.get("gpupm_quant", "float64"))),
-     "allow_simd_mismatch"),
     ("CPU counts", lambda c: str(c.get("num_cpus", "unknown")),
      "allow_cpu_mismatch"),
     ("benchmark library build types",
@@ -113,9 +100,6 @@ def main():
     ap.add_argument("--percentile-threshold", type=float, default=50.0,
                     help="p99 latency regression threshold in percent "
                          "(default 50; p50/p95 are informational)")
-    ap.add_argument("--allow-simd-mismatch", action="store_true",
-                    help="compare runs from different inference "
-                         "engines (deliberate cross-engine studies)")
     ap.add_argument("--allow-cpu-mismatch", action="store_true",
                     help="compare runs from hosts with different CPU "
                          "counts (deliberate cross-host studies)")
